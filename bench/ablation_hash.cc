@@ -1,5 +1,6 @@
 // Ablation (google-benchmark): the §3.2 commutative hash
-// (G^x mod 2^128 by square-and-multiply) versus an order-dependent
+// (G^x mod 2^128: Combine through the fixed-base comb, Extend by
+// square-and-multiply) versus an order-dependent
 // SHA-256 chain for combining digests.
 //
 // The chained variant is faster per operation but forfeits the three

@@ -1,8 +1,9 @@
 // Microbenchmark for the client verification fast path: what one
 // signature recovery costs through each layer — raw Recover (SimSigner
 // AES and real RSA), a RecoveredDigestCache hit, a pooled once-per-batch
-// recovery consumed by index — and what the exponent-folded commutative
-// combine buys over the chained form. The Recover-vs-cache ratio is the
+// recovery consumed by index, a miss-then-insert on a thrashing cache —
+// and what the exponent-folded commutative combine and its fixed-base
+// comb buy over the chained form. The Recover-vs-cache ratio is the
 // whole justification for the RecoveredDigestCache; this bench pins the
 // number on the host CI runs on.
 //
@@ -135,8 +136,40 @@ int main(int argc, char** argv) {
                   })});
   }
 
+  {
+    // The cold path: a lookup miss, the recovery it forces, then an
+    // insert that evicts from a full cache. The working set is 4x the
+    // capacity, so almost every probe misses, as under uniform scans.
+    RecoveredDigestCache::Options small;
+    small.capacity = kSigs / 4;
+    RecoveredDigestCache cold(small);
+    for (const Signature& s : sigs) {
+      cold.Insert(1, s, recoverer.Recover(s).ValueOrDie());
+    }
+    size_t i = 0;
+    Digest d;
+    ms.push_back({"digest_cache_miss_insert",
+                  NsPerOp([&] {
+                    const Signature& s = sigs[i++ % kSigs];
+                    if (!cold.Lookup(1, s, &d)) {
+                      d = recoverer.Recover(s).ValueOrDie();
+                      cold.Insert(1, s, d);
+                    }
+                  })});
+  }
+
   // --- Cost_k: chained vs exponent-folded combine -------------------------
   CommutativeHash g;
+  {
+    // G^e from the fixed-base comb: the single exponentiation that every
+    // folded Combine (and the server's FromExponent) ends in.
+    Uint128 e = RandomDigest(&rng).ToUint128();
+    ms.push_back({"combine_fixed_base",
+                  NsPerOp([&] {
+                    Digest d = g.FromExponent(e);
+                    e = d.ToUint128();  // chain so calls cannot overlap
+                  })});
+  }
   for (size_t m : {4u, 16u, 64u}) {
     std::vector<Digest> set;
     for (size_t i = 0; i < m; ++i) set.push_back(RandomDigest(&rng));

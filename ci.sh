@@ -604,14 +604,16 @@ if [[ "$MODE" == "tsan" ]]; then
   # installs), the lazy-trust suite (client threads racing the
   # background auditor over the shared digest cache and bounded ticket
   # queue), the split-pipeline suite (auto-split policy thread racing
-  # writer threads), and the chaos failover suite (client threads
+  # writer threads), the chaos failover suite (client threads
   # failing over through the director while the fault injector holds,
-  # duplicates and re-releases messages across threads). The full suite
+  # duplicates and re-releases messages across threads), and the
+  # verify-cache suite (threads racing lookups, inserts, evictions and
+  # set growth in the shared recovered-digest cache). The full suite
   # under TSan is prohibitively slow on the single-CPU CI runner and
   # adds no interleavings these don't hit.
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}"
   ctest --output-on-failure -j "$(nproc)" \
-        -R "query_service|shard_equivalence|olc_stress|lazy_trust|split_pipeline|chaos_failover"
+        -R "query_service|shard_equivalence|olc_stress|lazy_trust|split_pipeline|chaos_failover|verify_cache"
 else
   ctest --output-on-failure -j "$(nproc)"
 fi

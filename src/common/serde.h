@@ -40,6 +40,13 @@ class ByteWriter {
     buf_.push_back(static_cast<uint8_t>(v));
   }
 
+  /// Bytes PutVarint(v) appends.
+  static size_t VarintLength(uint64_t v) {
+    size_t n = 1;
+    for (; v >= 0x80; v >>= 7) ++n;
+    return n;
+  }
+
   void PutBytes(Slice s) { buf_.insert(buf_.end(), s.data(), s.data() + s.size()); }
 
   /// Varint length prefix followed by the raw bytes.

@@ -8,9 +8,39 @@
 
 namespace vbtree {
 
+namespace {
+
+constexpr uint64_t kGeneratorHi = 0x6A09E667F3BCC908ULL;
+
+/// Fixed-base comb for G: entry[j][v] = G^(v * 16^j) mod 2^128, built at
+/// compile time. G^e is then the product of one entry per 4-bit digit of
+/// e. Every k-bit result is this product reduced mod 2^k, because 2^k
+/// divides 2^128 and G mod 2^k is the k-bit generator.
+struct CombTable {
+  unsigned __int128 entry[32][16];
+};
+
+constexpr CombTable BuildCombTable() {
+  CombTable t{};
+  // G^(16^j), advanced by one more factor of the row's last entry.
+  unsigned __int128 base =
+      (static_cast<unsigned __int128>(kGeneratorHi) << 64) |
+      CommutativeHash::kDefaultGeneratorLo;
+  for (auto& row : t.entry) {
+    row[0] = 1;
+    for (int v = 1; v < 16; ++v) row[v] = row[v - 1] * base;
+    base = row[15] * base;
+  }
+  return t;
+}
+
+constexpr CombTable kComb = BuildCombTable();
+
+}  // namespace
+
 Digest CommutativeHash::Identity() const {
   // G must be odd (a unit mod 2^k) so every combined digest stays a unit.
-  Uint128 g = Uint128::FromParts(0x6A09E667F3BCC908ULL, kDefaultGeneratorLo);
+  Uint128 g = Uint128::FromParts(kGeneratorHi, kDefaultGeneratorLo);
   return Digest::FromUint128(g.Mask(bits_));
 }
 
@@ -40,12 +70,13 @@ Digest CommutativeHash::Extend(const Digest& acc, const Digest& d) const {
 
 Digest CommutativeHash::Combine(std::span<const Digest> digests) const {
   // Fold the exponent product first (one 128-bit multiply per digest),
-  // then pay a single exponentiation: G^(d1·...·dm) directly, instead of
-  // the chained ((G^d1)^d2)... which costs one full square-and-multiply
-  // per digest. Bit-identical by (G^a)^b = G^(ab) — the same algebra the
-  // server's kRecomputeProduct strategy uses, and property-tested against
-  // the chained form. This is the client-verification recombination hot
-  // path: every VO node digest is one Combine over its parts.
+  // then pay a single fixed-base exponentiation (FromExponent's comb):
+  // G^(d1·...·dm) directly, instead of the chained ((G^d1)^d2)... which
+  // costs one full square-and-multiply per digest. Bit-identical by
+  // (G^a)^b = G^(ab) — the same algebra the server's kRecomputeProduct
+  // strategy uses, and property-tested against the chained form. This is
+  // the client-verification recombination hot path: every VO node digest
+  // is one Combine over its parts.
   if (counters_ != nullptr) CryptoCounters::Tick(counters_->combine_ops, digests.size());
   return FromExponent(ExponentProduct(digests));
 }
@@ -78,8 +109,17 @@ Uint128 CommutativeHash::ExponentProduct(
 }
 
 Digest CommutativeHash::FromExponent(Uint128 exponent) const {
-  Uint128 g = Identity().ToUint128();
-  return Digest::FromUint128(ModExp(g, exponent));
+  // ModExp reads only the low k exponent bits; so does the comb.
+  const Uint128 e = exponent.Mask(bits_);
+  const uint64_t words[2] = {e.lo(), e.hi()};
+  unsigned __int128 r = 1;
+  for (int j = 0; j < 32; ++j) {
+    r *= kComb.entry[j][(words[j / 16] >> (4 * (j % 16))) & 0xF];
+  }
+  return Digest::FromUint128(
+      Uint128::FromParts(static_cast<uint64_t>(r >> 64),
+                         static_cast<uint64_t>(r))
+          .Mask(bits_));
 }
 
 Digest CommutativeHash::CombineViaExponent(

@@ -20,8 +20,12 @@ namespace vbtree {
 /// which is order independent because (G^a)^b = (G^b)^a = G^(ab). The
 /// modulus n = 2^k is chosen "to optimize the modulo operation" (the
 /// paper's own optimization): with k = 128, reduction is free 128-bit
-/// wrap-around; exponentiation uses square-and-multiply with reduction
-/// after every step, exactly the 4-multiplications example in §3.2.
+/// wrap-around. Extend raises a varying accumulator, so it uses
+/// square-and-multiply with reduction after every step, exactly the
+/// 4-multiplications example in §3.2. Combine and FromExponent always
+/// raise the fixed generator G, so they use a compile-time comb of
+/// G^(v * 16^j): 32 table multiplies per exponent, bit-identical to
+/// square-and-multiply at every k.
 ///
 /// Properties relied on elsewhere (and property-tested):
 ///  * Commutativity / order independence of Combine.
@@ -59,7 +63,8 @@ class CommutativeHash {
   Digest Combine(std::span<const Digest> digests) const;
 
   /// Modular exponentiation base^exp mod 2^bits via square-and-multiply
-  /// with reduction after every multiplication.
+  /// with reduction after every multiplication. Reads only the low `bits`
+  /// bits of `exp`.
   Uint128 ModExp(Uint128 base, Uint128 exp) const;
 
   // --- exponent-space operations -----------------------------------------
@@ -90,6 +95,8 @@ class CommutativeHash {
   Uint128 ExponentProduct(std::span<const Digest> digests) const;
 
   /// G^exponent — materializes a digest from a maintained exponent.
+  /// Equals ModExp(Identity(), exponent), computed with the fixed-base
+  /// comb (one table multiply per 4-bit digit, one final mask).
   Digest FromExponent(Uint128 exponent) const;
 
   /// Equivalent to Combine(digests) via a single exponentiation.

@@ -1,5 +1,7 @@
 #include "crypto/recovered_digest_cache.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 
 namespace vbtree {
@@ -22,125 +24,178 @@ inline uint64_t Mix64(uint64_t x) {
   return x;
 }
 
+/// Folds one word into the running fingerprint: a full 64x64->128
+/// multiply whose halves are xored, so high input bits reach low output
+/// bits before the next word lands.
+inline uint64_t FoldWord(uint64_t h, uint64_t word) {
+  unsigned __int128 p =
+      static_cast<unsigned __int128>(h ^ word) * 0x9e3779b97f4a7c15ULL;
+  return static_cast<uint64_t>(p) ^ static_cast<uint64_t>(p >> 64);
+}
+
 }  // namespace
 
 size_t SignatureHash::operator()(const Signature& s) const {
-  // This runs once per cache probe on the verification hot path, so the
-  // common 16-byte signature takes two word loads and one mix instead of
-  // a byte-wise FNV walk. The hash is never a trust boundary (equality
-  // compares full bytes); it only has to spread ciphertext-like keys.
-  if (s.size() == 16) {
-    return static_cast<size_t>(
-        Mix64(Load64(s.data()) ^ (Load64(s.data() + 8) * 0x9e3779b97f4a7c15ULL)));
-  }
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (uint8_t b : s) {
-    h ^= b;
-    h *= 0x100000001b3ULL;
+  // One multiply per 8-byte word (two for the 16-byte AES stand-in,
+  // sixteen for RSA-1024), seeded with the length so a signature and a
+  // longer one sharing its prefix fingerprint apart. The fingerprint is
+  // never a trust boundary; it only has to spread ciphertext-like keys.
+  static_assert(sizeof(size_t) == sizeof(uint64_t));
+  const uint8_t* p = s.data();
+  size_t n = s.size();
+  uint64_t h = Mix64(n);
+  for (; n >= 8; p += 8, n -= 8) h = FoldWord(h, Load64(p));
+  if (n > 0) {
+    uint64_t tail = 0;
+    std::memcpy(&tail, p, n);
+    h = FoldWord(h, tail);
   }
   return static_cast<size_t>(Mix64(h));
 }
 
 RecoveredDigestCache::RecoveredDigestCache(Options options)
     : options_(options) {
-  size_t shards = options_.shards;
-  if (shards == 0) shards = 1;
-  // Round down to a power of two so ShardFor can mask.
-  while ((shards & (shards - 1)) != 0) shards &= shards - 1;
+  // Round the shard count down to a power of two so the low fingerprint
+  // bits pick the shard and the next bits pick the set. No more shards
+  // than entries, so every shard's share of the capacity is whole.
+  const size_t shards = std::bit_floor(std::clamp<size_t>(
+      options_.shards, 1, std::max<size_t>(options_.capacity, 1)));
+  shard_bits_ = std::countr_zero(shards);
+  const size_t per_shard = options_.capacity / shards;
+  ways_ = std::min(per_shard, kWays);
+  max_sets_ = per_shard == 0
+                  ? 0
+                  : std::bit_floor(std::max<size_t>(per_shard / kWays, 1));
   shards_.reserve(shards);
   for (size_t i = 0; i < shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
-  }
-  per_shard_capacity_ = options_.capacity / shards;
-  if (options_.capacity > 0 && per_shard_capacity_ == 0) {
-    per_shard_capacity_ = 1;
+    if (max_sets_ > 0) shards_.back()->sets.resize(1);
   }
 }
 
-RecoveredDigestCache::Shard& RecoveredDigestCache::ShardFor(
-    const Signature& sig) {
-  return *shards_[SignatureHash{}(sig) & (shards_.size() - 1)];
+void RecoveredDigestCache::Slot::AssignSig(const Signature& sig) {
+  sig_size = static_cast<uint32_t>(sig.size());
+  if (sig_size > kInlineSig && heap_capacity < sig_size) {
+    heap = std::make_unique_for_overwrite<uint8_t[]>(sig_size);
+    heap_capacity = sig_size;
+  }
+  std::copy(sig.begin(), sig.end(),
+            sig_size <= kInlineSig ? inline_sig.data() : heap.get());
+}
+
+size_t RecoveredDigestCache::Find(const Shard& shard, const Set& set,
+                                  uint64_t fp, const Signature& sig) {
+  for (size_t w = 0; w < kWays; ++w) {
+    // The fingerprint only narrows the scan; a hit needs the full bytes.
+    if (set.fingerprints[w] == fp && set.slot_refs[w] != 0 &&
+        shard.slots[set.slot_refs[w] - 1].SigEquals(sig)) {
+      return w;
+    }
+  }
+  return kWays;
+}
+
+size_t RecoveredDigestCache::Victim(const Set& set, uint32_t clock) const {
+  size_t victim = 0;
+  uint32_t oldest_age = 0;
+  for (size_t w = 0; w < ways_; ++w) {
+    if (set.slot_refs[w] == 0) return w;
+    const uint32_t age = clock - set.stamps[w];
+    if (age > oldest_age) {
+      victim = w;
+      oldest_age = age;
+    }
+  }
+  return victim;
 }
 
 bool RecoveredDigestCache::Lookup(uint64_t domain, const Signature& sig,
                                   Digest* out, CryptoCounters* counters) {
-  if (per_shard_capacity_ == 0) {
+  if (max_sets_ == 0) {
     if (counters != nullptr) CryptoCounters::Tick(counters->digest_cache_misses);
     return false;
   }
-  Shard& shard = ShardFor(sig);
+  const uint64_t fp = SignatureHash{}(sig);
+  Shard& shard = ShardFor(fp);
   std::lock_guard lock(shard.mu);
-  auto it = shard.map.find(sig);
+  Set& set = SetFor(shard, fp);
+  const size_t way = Find(shard, set, fp, sig);
   // A resident entry from another key epoch is a miss: recovery is only
   // a pure function of the bytes *under one public key*.
-  if (it == shard.map.end() || it->second.domain != domain) {
+  if (way == kWays || shard.slots[set.slot_refs[way] - 1].domain != domain) {
     shard.misses++;
     if (counters != nullptr) CryptoCounters::Tick(counters->digest_cache_misses);
     return false;
   }
-  it->second.last_used = ++shard.clock;
-  *out = it->second.digest;
+  set.stamps[way] = ++shard.clock;
+  *out = shard.slots[set.slot_refs[way] - 1].digest;
   shard.hits++;
   if (counters != nullptr) CryptoCounters::Tick(counters->digest_cache_hits);
   return true;
 }
 
-void RecoveredDigestCache::EvictOne(Shard* shard) {
-  // Sample a handful of entries starting at the rotating bucket cursor
-  // and drop the one least recently stamped. Approximate, but unbiased
-  // over time — and never touches more than a few cache lines, unlike a
-  // linked-list LRU whose per-hit splice costs more than a cheap
-  // Recover.
-  constexpr size_t kSample = 8;
-  const size_t buckets = shard->map.bucket_count();
-  const Signature* victim = nullptr;
-  uint64_t oldest = 0;
-  size_t seen = 0;
-  for (size_t probe = 0; probe < buckets && seen < kSample; ++probe) {
-    size_t b = (shard->sweep + probe) % buckets;
-    for (auto it = shard->map.begin(b); it != shard->map.end(b); ++it) {
-      if (victim == nullptr || it->second.last_used < oldest) {
-        victim = &it->first;
-        oldest = it->second.last_used;
-      }
-      if (++seen >= kSample) break;
+void RecoveredDigestCache::Grow(Shard* shard) const {
+  const size_t old_count = shard->sets.size();
+  std::vector<Set> grown(old_count * 2);
+  // Doubling adds one index bit, so set i splits into sets i and
+  // i + old_count and no new set receives more than kWays ways.
+  for (const Set& old : shard->sets) {
+    for (size_t w = 0; w < kWays; ++w) {
+      if (old.slot_refs[w] == 0) continue;
+      Set& dst = grown[(old.fingerprints[w] >> shard_bits_) &
+                       (grown.size() - 1)];
+      const size_t d = Victim(dst, 0);
+      dst.fingerprints[d] = old.fingerprints[w];
+      dst.stamps[d] = old.stamps[w];
+      dst.slot_refs[d] = old.slot_refs[w];
     }
   }
-  shard->sweep = (shard->sweep + 1) % (buckets == 0 ? 1 : buckets);
-  if (victim != nullptr) {
-    // Copy first: erasing through a reference into the node being
-    // destroyed is a use-after-free waiting to happen.
-    Signature victim_key = *victim;
-    shard->map.erase(victim_key);
-    shard->evictions++;
-  }
+  shard->sets = std::move(grown);
 }
 
 void RecoveredDigestCache::Insert(uint64_t domain, const Signature& sig,
                                   const Digest& digest,
                                   CryptoCounters* counters) {
-  if (per_shard_capacity_ == 0) return;
-  Shard& shard = ShardFor(sig);
+  if (max_sets_ == 0) return;
+  const uint64_t fp = SignatureHash{}(sig);
+  Shard& shard = ShardFor(fp);
   std::lock_guard lock(shard.mu);
-  auto it = shard.map.find(sig);
-  if (it != shard.map.end()) {
+  Set* set = &SetFor(shard, fp);
+  size_t way = Find(shard, *set, fp, sig);
+  if (way != kWays) {
     // Refresh: same bytes under a rotated key overwrite the stale epoch.
-    it->second.domain = domain;
-    it->second.digest = digest;
-    it->second.last_used = ++shard.clock;
+    Slot& slot = shard.slots[set->slot_refs[way] - 1];
+    slot.domain = domain;
+    slot.digest = digest;
+    set->stamps[way] = ++shard.clock;
     return;
   }
-  if (shard.map.size() >= per_shard_capacity_) {
-    EvictOne(&shard);
+  way = Victim(*set, shard.clock);
+  while (set->slot_refs[way] != 0 && shard.sets.size() < max_sets_) {
+    Grow(&shard);
+    set = &SetFor(shard, fp);
+    way = Victim(*set, shard.clock);
+  }
+  if (set->slot_refs[way] == 0) {
+    shard.slots.emplace_back();
+    set->slot_refs[way] = static_cast<uint32_t>(shard.slots.size());
+  } else {
+    shard.evictions++;
     if (counters != nullptr) CryptoCounters::Tick(counters->digest_cache_evictions);
   }
-  shard.map.emplace(sig, Entry{domain, digest, ++shard.clock});
+  set->fingerprints[way] = fp;
+  set->stamps[way] = ++shard.clock;
+  Slot& slot = shard.slots[set->slot_refs[way] - 1];
+  slot.domain = domain;
+  slot.digest = digest;
+  slot.AssignSig(sig);
 }
 
 void RecoveredDigestCache::Clear() {
   for (auto& shard : shards_) {
     std::lock_guard lock(shard->mu);
-    shard->map.clear();
+    if (max_sets_ > 0) shard->sets.assign(1, Set{});
+    shard->slots = std::vector<Slot>();
   }
 }
 
@@ -151,7 +206,7 @@ RecoveredDigestCache::Stats RecoveredDigestCache::stats() const {
     s.hits += shard->hits;
     s.misses += shard->misses;
     s.evictions += shard->evictions;
-    s.entries += shard->map.size();
+    s.entries += shard->slots.size();
   }
   return s;
 }

@@ -46,6 +46,29 @@ Result<Signature> ReadSig(ByteReader* r, const SignaturePool* pool,
   return *entry;
 }
 
+/// Bytes WriteSig(s, w, nullptr) appends: the varint length prefix plus
+/// the signature.
+size_t InlineSigSize(const Signature& s) {
+  return ByteWriter::VarintLength(s.size()) + s.size();
+}
+
+/// Bytes SerializeNode(n, w, nullptr) appends, by the same rules.
+size_t NodeSize(const VONode& n) {
+  size_t size = 1;  // is_leaf
+  if (n.is_leaf) {
+    size += ByteWriter::VarintLength(n.result_count) +
+            ByteWriter::VarintLength(n.filtered_tuple_sigs.size());
+    for (const Signature& s : n.filtered_tuple_sigs) size += InlineSigSize(s);
+  } else {
+    size += ByteWriter::VarintLength(n.items.size());
+    for (const VONode::Item& item : n.items) {
+      size += 1 + (item.is_covered() ? NodeSize(*item.covered)
+                                     : InlineSigSize(item.opaque));
+    }
+  }
+  return size;
+}
+
 void SerializeNode(const VONode& n, ByteWriter* w, SignaturePool* pool) {
   w->PutU8(n.is_leaf ? 1 : 0);
   if (n.is_leaf) {
@@ -215,9 +238,13 @@ Result<VerificationObject> VerificationObject::DeserializePooled(
 }
 
 size_t VerificationObject::SerializedSize() const {
-  ByteWriter w;
-  Serialize(&w);
-  return w.size();
+  // Mirrors SerializeImpl without a pool, field for field.
+  size_t size = 4 + InlineSigSize(signed_top) + 1;
+  if (skeleton != nullptr) size += NodeSize(*skeleton);
+  size += ByteWriter::VarintLength(num_filtered_cols) +
+          ByteWriter::VarintLength(projected_attr_sigs.size());
+  for (const Signature& s : projected_attr_sigs) size += InlineSigSize(s);
+  return size;
 }
 
 VerificationObject VerificationObject::Clone() const {

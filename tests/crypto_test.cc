@@ -157,6 +157,60 @@ TEST(CommutativeHashTest, CountsCombineOps) {
   EXPECT_EQ(counters.combine_ops, 5u);
 }
 
+// The fixed-base comb behind FromExponent and Combine must equal plain
+// square-and-multiply from the generator at every modulus width,
+// including exponents with bits at or above the width.
+std::vector<Uint128> CombProbeExponents(int bits, Rng* rng) {
+  const Uint128 all_ones = Uint128::FromParts(~0ull, ~0ull);
+  std::vector<Uint128> es = {Uint128(0), Uint128(1), all_ones.Mask(bits),
+                             all_ones};
+  if (bits < 128) {
+    // Only bits >= k set, and bit k alone: both reduce to exponent 0.
+    Uint128 low = all_ones.Mask(bits);
+    es.push_back(Uint128::FromParts(~low.hi(), ~low.lo()));
+    es.push_back(Uint128::FromParts(
+        bits >= 64 ? 1ull << (bits - 64) : 0, bits < 64 ? 1ull << bits : 0));
+  }
+  for (int i = 0; i < 64; ++i) {
+    es.push_back(Uint128::FromParts(rng->Next(), rng->Next()));
+  }
+  return es;
+}
+
+TEST(CommutativeHashCombTest, FromExponentMatchesModExpAtEveryWidth) {
+  Rng rng(11);
+  for (int bits = 8; bits <= 128; ++bits) {
+    CommutativeHash g(bits);
+    const Uint128 base = g.Identity().ToUint128();
+    for (const Uint128& e : CombProbeExponents(bits, &rng)) {
+      ASSERT_EQ(g.FromExponent(e), Digest::FromUint128(g.ModExp(base, e)))
+          << "bits=" << bits << " e=" << Digest::FromUint128(e).ToHex();
+    }
+  }
+}
+
+TEST(CommutativeHashCombTest, CombineMatchesModExpOfProductAtEveryWidth) {
+  Rng rng(12);
+  for (int bits = 8; bits <= 128; ++bits) {
+    CommutativeHash g(bits);
+    const Uint128 base = g.Identity().ToUint128();
+    for (size_t n : {0u, 1u, 3u, 16u}) {
+      std::vector<Digest> set;
+      for (size_t i = 0; i < n; ++i) set.push_back(RandomDigest(&rng));
+      EXPECT_EQ(g.Combine(set), Digest::FromUint128(
+                                    g.ModExp(base, g.ExponentProduct(set))))
+          << "bits=" << bits << " n=" << n;
+    }
+    // Single digests at the edge exponents (0 maps to 1 via
+    // ExponentFactor, exactly as Extend does).
+    for (const Uint128& e : CombProbeExponents(bits, &rng)) {
+      Digest d = Digest::FromUint128(e);
+      EXPECT_EQ(g.Combine({&d, 1}), g.Extend(g.Identity(), d))
+          << "bits=" << bits << " e=" << d.ToHex();
+    }
+  }
+}
+
 /// Property sweep: any permutation of any subset combines to the same
 /// digest (the foundation of the paper's "VO is just a set" claim).
 class CommutativitySweep : public ::testing::TestWithParam<int> {};

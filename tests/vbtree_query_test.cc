@@ -247,6 +247,49 @@ TEST(VBTreeQueryTest, VOSerializationRoundTrip) {
   EXPECT_TRUE(v.VerifySelect(q, out->rows, *back).ok());
 }
 
+TEST(VBTreeQueryTest, SerializedSizeMatchesEncodingForEveryShape) {
+  auto encoded_size = [](const VerificationObject& vo) {
+    ByteWriter w;
+    vo.Serialize(&w);
+    return w.size();
+  };
+  auto db = MakeTestDb(300, 6, 8);
+  ASSERT_NE(db, nullptr);
+  auto expect_size_matches = [&](const SelectQuery& q, const char* shape) {
+    auto out = db->tree->ExecuteSelect(q, db->Fetcher());
+    ASSERT_TRUE(out.ok()) << shape;
+    EXPECT_EQ(out->vo.SerializedSize(), encoded_size(out->vo)) << shape;
+  };
+  expect_size_matches(RangeQuery(*db, 0, 299), "full");
+  SelectQuery projected = RangeQuery(*db, 50, 250);
+  projected.projection = {0, 3};
+  expect_size_matches(projected, "projected");
+  expect_size_matches(RangeQuery(*db, 1000, 2000), "empty range");
+  expect_size_matches(RangeQuery(*db, 57, 57), "single row");
+  SelectQuery gaps = RangeQuery(*db, 10, 200);
+  gaps.conditions.push_back(
+      ColumnCondition{1, CompareOp::kGe, Value::Str("Q")});
+  expect_size_matches(gaps, "non-key condition");
+
+  // Multi-byte varints: long signatures, large counts, nested nodes.
+  VerificationObject vo;
+  EXPECT_EQ(vo.SerializedSize(), encoded_size(vo)) << "default-constructed";
+  vo.signed_top = Signature(300, 0xA5);
+  vo.skeleton = std::make_unique<VONode>();
+  vo.skeleton->is_leaf = false;
+  VONode::Item opaque;
+  opaque.opaque = Signature(128, 0x11);
+  vo.skeleton->items.push_back(std::move(opaque));
+  VONode::Item covered;
+  covered.covered = std::make_unique<VONode>();
+  covered.covered->result_count = 100000;
+  covered.covered->filtered_tuple_sigs.assign(130, Signature(16, 0x22));
+  vo.skeleton->items.push_back(std::move(covered));
+  vo.num_filtered_cols = 200;
+  vo.projected_attr_sigs.assign(3, Signature(127, 0x33));
+  EXPECT_EQ(vo.SerializedSize(), encoded_size(vo));
+}
+
 TEST(VBTreeQueryTest, QueryAfterUpdatesVerifies) {
   auto db = MakeTestDb(200, 5, 8);
   ASSERT_NE(db, nullptr);

@@ -9,6 +9,7 @@
 // passing verification.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -88,6 +89,211 @@ TEST(RecoveredDigestCacheTest, ZeroCapacityDisablesCaching) {
   cache.Insert(1, sig, RandomDigest(&rng));
   EXPECT_FALSE(cache.Lookup(1, sig, &out));
   EXPECT_EQ(cache.stats().entries, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Set-associative layout. Capacity 8 in one shard is exactly one 8-way
+// set, so every signature below lands in the same set: the fingerprint
+// cannot separate them and only the full-byte compare can.
+// ---------------------------------------------------------------------------
+
+RecoveredDigestCache::Options OneSet() {
+  RecoveredDigestCache::Options opts;
+  opts.capacity = 8;
+  opts.shards = 1;
+  return opts;
+}
+
+Signature RandomSignature(Rng* rng, size_t len) {
+  Signature sig(len);
+  for (auto& b : sig) b = static_cast<uint8_t>(rng->Next());
+  return sig;
+}
+
+TEST(RecoveredDigestCacheSetTest, EachSignatureReturnsItsOwnDigest) {
+  RecoveredDigestCache cache(OneSet());
+  Rng rng(20);
+  std::vector<Signature> sigs;
+  std::vector<Digest> digests;
+  for (size_t i = 0; i < 8; ++i) {
+    // Mixed lengths, including ones that are not a multiple of a word.
+    sigs.push_back(RandomSignature(&rng, i % 2 == 0 ? 16 : 5 + 17 * i));
+    digests.push_back(RandomDigest(&rng));
+    cache.Insert(1, sigs[i], digests[i]);
+  }
+  for (size_t i = 0; i < sigs.size(); ++i) {
+    Digest out;
+    ASSERT_TRUE(cache.Lookup(1, sigs[i], &out)) << i;
+    EXPECT_EQ(out, digests[i]) << i;
+  }
+  EXPECT_EQ(cache.stats().entries, 8u);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+}
+
+TEST(RecoveredDigestCacheSetTest, EvictsLeastRecentlyUsedInTheSet) {
+  RecoveredDigestCache cache(OneSet());
+  Rng rng(21);
+  std::vector<Signature> sigs;
+  std::vector<Digest> digests;
+  for (size_t i = 0; i < 9; ++i) {
+    sigs.push_back(RandomSignature(&rng, 16));
+    digests.push_back(RandomDigest(&rng));
+  }
+  for (size_t i = 0; i < 8; ++i) cache.Insert(1, sigs[i], digests[i]);
+  // Touch everything but entry 3, in order: 3 becomes the oldest.
+  Digest out;
+  for (size_t i = 0; i < 8; ++i) {
+    if (i == 3) continue;
+    ASSERT_TRUE(cache.Lookup(1, sigs[i], &out));
+  }
+  CryptoCounters c;
+  cache.Insert(1, sigs[8], digests[8], &c);
+  EXPECT_EQ(c.digest_cache_evictions, 1u);
+  EXPECT_FALSE(cache.Lookup(1, sigs[3], &out)) << "LRU entry must go";
+  for (size_t i = 0; i < 9; ++i) {
+    if (i == 3) continue;
+    ASSERT_TRUE(cache.Lookup(1, sigs[i], &out)) << i;
+    EXPECT_EQ(out, digests[i]) << i;
+  }
+  // The re-lookups above refreshed the entries in index order, so entry 0
+  // is now the oldest and the next insert must drop it.
+  cache.Insert(1, sigs[3], digests[3]);
+  EXPECT_FALSE(cache.Lookup(1, sigs[0], &out));
+  EXPECT_EQ(cache.stats().evictions, 2u);
+}
+
+TEST(RecoveredDigestCacheSetTest, EntriesNeverExceedCapacity) {
+  Rng rng(22);
+  for (size_t capacity : {1u, 3u, 7u, 8u, 17u, 64u, 100u}) {
+    for (size_t shards : {1u, 4u, 8u}) {
+      RecoveredDigestCache::Options opts;
+      opts.capacity = capacity;
+      opts.shards = shards;
+      RecoveredDigestCache cache(opts);
+      ASSERT_EQ(cache.capacity(), capacity);
+      for (int i = 0; i < 600; ++i) {
+        cache.Insert(1, RandomSignature(&rng, 1 + rng.Uniform(130)),
+                     RandomDigest(&rng));
+        ASSERT_LE(cache.stats().entries, cache.capacity())
+            << "capacity=" << capacity << " shards=" << shards << " i=" << i;
+      }
+      RecoveredDigestCache::Stats s = cache.stats();
+      EXPECT_GT(s.entries, 0u);
+      EXPECT_EQ(s.entries + s.evictions, 600u);
+    }
+  }
+}
+
+}  // namespace
+
+// Probes a set under a chosen fingerprint instead of the probe's own: a
+// forged 64-bit collision, which no honest signature pair can supply.
+class RecoveredDigestCacheTestPeer {
+ public:
+  static bool HitsUnder(RecoveredDigestCache& cache, uint64_t fp,
+                        const Signature& probe) {
+    RecoveredDigestCache::Shard& shard = cache.ShardFor(fp);
+    std::lock_guard lock(shard.mu);
+    return RecoveredDigestCache::Find(shard, cache.SetFor(shard, fp), fp,
+                                      probe) != RecoveredDigestCache::kWays;
+  }
+};
+
+namespace {
+
+TEST(RecoveredDigestCacheSetTest, FingerprintMatchAloneIsNeverAHit) {
+  RecoveredDigestCache cache(OneSet());
+  Rng rng(25);
+  Signature honest = RandomSignature(&rng, 16);
+  cache.Insert(1, honest, RandomDigest(&rng));
+  const uint64_t fp = SignatureHash{}(honest);
+  ASSERT_TRUE(RecoveredDigestCacheTestPeer::HitsUnder(cache, fp, honest));
+
+  Signature flipped = honest;
+  flipped[7] ^= 0x01;
+  Signature prefix(honest.begin(), honest.begin() + 15);
+  Signature extended = honest;
+  extended.push_back(0);
+  for (const Signature& forged : {flipped, prefix, extended, Signature{}}) {
+    EXPECT_FALSE(RecoveredDigestCacheTestPeer::HitsUnder(cache, fp, forged))
+        << "size=" << forged.size();
+  }
+}
+
+TEST(RecoveredDigestCacheSetTest, SharedPrefixSignaturesNeverAlias) {
+  RecoveredDigestCache cache(OneSet());
+  Rng rng(23);
+  Signature longer = RandomSignature(&rng, 128);
+  Signature shorter(longer.begin(), longer.begin() + 16);
+  Digest d_short = RandomDigest(&rng), d_long = RandomDigest(&rng), out;
+
+  cache.Insert(1, shorter, d_short);
+  EXPECT_FALSE(cache.Lookup(1, longer, &out));
+  cache.Insert(1, longer, d_long);
+  ASSERT_TRUE(cache.Lookup(1, shorter, &out));
+  EXPECT_EQ(out, d_short);
+  ASSERT_TRUE(cache.Lookup(1, longer, &out));
+  EXPECT_EQ(out, d_long);
+  // One byte past the prefix, and a zero-padded 16-byte prefix.
+  Signature seventeen(longer.begin(), longer.begin() + 17);
+  Signature padded = shorter;
+  padded.resize(24, 0);
+  EXPECT_FALSE(cache.Lookup(1, seventeen, &out));
+  EXPECT_FALSE(cache.Lookup(1, padded, &out));
+  EXPECT_EQ(cache.stats().entries, 2u);
+}
+
+// 8 threads Lookup/Insert over a working set 8x the capacity, across two
+// key domains, so hits race inserts, evictions and set growth. Every hit
+// must return the digest that signature truly recovers to in that domain.
+TEST(RecoveredDigestCacheSetTest, ConcurrentHitsReturnTrueDigests) {
+  RecoveredDigestCache::Options opts;
+  opts.capacity = 64;
+  opts.shards = 4;
+  RecoveredDigestCache cache(opts);
+
+  constexpr size_t kSigs = 512;
+  constexpr int kThreads = 8;
+  constexpr int kOpsPerThread = 20000;
+  SimSigner signers[2] = {SimSigner(31), SimSigner(32)};
+  std::vector<Signature> sigs;
+  std::vector<Digest> truth[2];
+  Rng rng(24);
+  for (size_t i = 0; i < kSigs; ++i) {
+    sigs.push_back(signers[0].Sign(RandomDigest(&rng)).ValueOrDie());
+    for (int dom = 0; dom < 2; ++dom) {
+      SimRecoverer rec(signers[dom].key_material());
+      truth[dom].push_back(rec.Recover(sigs[i]).ValueOrDie());
+    }
+  }
+
+  std::atomic<uint64_t> hits{0}, wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng local(200 + t);
+      for (int i = 0; i < kOpsPerThread; ++i) {
+        const size_t idx = local.Uniform(kSigs);
+        const int dom = static_cast<int>(local.Uniform(2));
+        Digest out;
+        if (cache.Lookup(dom + 1, sigs[idx], &out)) {
+          hits++;
+          if (out != truth[dom][idx]) wrong++;
+        } else {
+          cache.Insert(dom + 1, sigs[idx], truth[dom][idx]);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  EXPECT_EQ(wrong.load(), 0u);
+  RecoveredDigestCache::Stats s = cache.stats();
+  EXPECT_EQ(s.hits, hits.load());
+  EXPECT_EQ(s.hits + s.misses, uint64_t{kThreads} * kOpsPerThread);
+  EXPECT_LE(s.entries, cache.capacity());
+  EXPECT_GT(s.hits, 0u);
+  EXPECT_GT(s.evictions, 0u);
 }
 
 TEST(CachingRecovererTest, HitSkipsInnerRecover) {
