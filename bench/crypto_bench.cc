@@ -2,10 +2,11 @@
 // signature recovery costs through each layer — raw Recover (SimSigner
 // AES and real RSA), a RecoveredDigestCache hit, a pooled once-per-batch
 // recovery consumed by index, a miss-then-insert on a thrashing cache —
-// and what the exponent-folded commutative combine and its fixed-base
-// comb buy over the chained form. The Recover-vs-cache ratio is the
-// whole justification for the RecoveredDigestCache; this bench pins the
-// number on the host CI runs on.
+// what the exponent-folded commutative combine and its fixed-base comb
+// buy over the chained form, and what copying a signature and interning
+// a batch's signatures into the wire-v2 pool cost. The Recover-vs-cache
+// ratio is the whole justification for the RecoveredDigestCache; this
+// bench pins the number on the host CI runs on.
 //
 // Plain executable (no google-benchmark dependency), like the fig*
 // harnesses. `--json` emits the CI artifact BENCH_crypto.json.
@@ -23,6 +24,7 @@
 #include "crypto/recovered_digest_cache.h"
 #include "crypto/rsa_signer.h"
 #include "crypto/sim_signer.h"
+#include "vbtree/verification_object.h"
 
 using namespace vbtree;
 using vbtree::bench::Timer;
@@ -156,6 +158,44 @@ int main(int argc, char** argv) {
                       cold.Insert(1, s, d);
                     }
                   })});
+  }
+
+  // --- signature handling: copies and batch-pool interning ---------------
+  {
+    // Copy-construct (and later destroy) one 16-byte signature, as a
+    // copy-on-write leaf clone does for each of a row's signatures.
+    std::vector<Signature> out;
+    out.reserve(kSigs);
+    ms.push_back({"signature_copy_16",
+                  NsPerOp([&] {
+                    if (out.size() == kSigs) out.clear();
+                    out.push_back(sigs[out.size()]);
+                  })});
+  }
+  for (size_t len : {16u, 128u}) {
+    // One batch's worth of interns (8 queries of ~150 signatures) into a
+    // fresh pool, about half of them repeats (overlapping envelopes
+    // re-ship boundary signatures); reported per Intern call.
+    const size_t kBatch = 1200;
+    std::vector<Signature> seq;
+    seq.reserve(kBatch);
+    while (seq.size() < kBatch) {
+      if (!seq.empty() && rng.OneIn(2)) {
+        seq.push_back(seq[rng.Uniform(seq.size())]);
+      } else {
+        Signature s(len, 0);
+        for (auto& b : s) b = static_cast<uint8_t>(rng.Next());
+        seq.push_back(std::move(s));
+      }
+    }
+    const double ns_per_batch = NsPerOp(
+        [&] {
+          SignaturePool pool;
+          for (const Signature& s : seq) (void)pool.Intern(s);
+        },
+        /*batch=*/16, /*min_ms=*/80.0, /*min_iters=*/64);
+    ms.push_back({"pool_intern_" + std::to_string(len),
+                  ns_per_batch / static_cast<double>(kBatch)});
   }
 
   // --- Cost_k: chained vs exponent-folded combine -------------------------

@@ -37,7 +37,7 @@ int main() {
   }
   if (!central.LoadTable("fleet", rows).ok()) return 1;
 
-  SimulatedNetwork net;
+  InProcessTransport net;
   EdgeServer edge("edge-1");
   PropagationOptions popts;
   popts.policy = ShipPolicy::kDeltaPreferred;

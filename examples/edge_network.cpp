@@ -42,7 +42,7 @@ int main() {
   }
   if (!central.LoadTable("readings", rows).ok()) return 1;
 
-  SimulatedNetwork net;
+  InProcessTransport net;
   EdgeServer edges[] = {EdgeServer("edge-us"), EdgeServer("edge-eu"),
                         EdgeServer("edge-ap")};
   DistributionHub hub(&central, &net);  // background propagator running

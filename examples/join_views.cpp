@@ -57,7 +57,7 @@ int main() {
               (*view)->schema().num_columns());
 
   // Distribute (tables and the view) and query it with verification.
-  SimulatedNetwork net;
+  InProcessTransport net;
   EdgeServer edge("edge-1");
   DistributionHub hub(&central, &net);  // views ship by snapshot
   if (!hub.Subscribe(&edge).ok()) return 1;

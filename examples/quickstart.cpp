@@ -50,7 +50,7 @@ int main() {
               central.tree("products")->root_digest().ToHex().substr(0, 16).c_str());
 
   // --- 2. Distribute to an edge server via the propagation hub ---------
-  SimulatedNetwork net;
+  InProcessTransport net;
   EdgeServer edge("edge-west");  // declared before the hub: outlives it
   DistributionHub hub(&central, &net);  // background propagator running
   if (!hub.Subscribe(&edge).ok()) return 1;

@@ -52,7 +52,7 @@ int main() {
   }
   if (!central.LoadTable("accounts", rows).ok()) return 1;
 
-  SimulatedNetwork net;
+  InProcessTransport net;
   EdgeServer edge("edge-sketchy");
   DistributionHub hub(&central, &net);
   if (!hub.Subscribe(&edge).ok()) return 1;

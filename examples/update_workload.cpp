@@ -47,7 +47,7 @@ int main() {
               static_cast<unsigned long long>(tree->node_count()));
 
   // --- 1. Edge replicas reject updates ---------------------------------
-  SimulatedNetwork net;
+  InProcessTransport net;
   EdgeServer edge("edge-1");
   DistributionHub hub(&central, &net);  // background propagator running
   if (!hub.Subscribe(&edge).ok()) return 1;

@@ -73,22 +73,12 @@ RecoveredDigestCache::RecoveredDigestCache(Options options)
   }
 }
 
-void RecoveredDigestCache::Slot::AssignSig(const Signature& sig) {
-  sig_size = static_cast<uint32_t>(sig.size());
-  if (sig_size > kInlineSig && heap_capacity < sig_size) {
-    heap = std::make_unique_for_overwrite<uint8_t[]>(sig_size);
-    heap_capacity = sig_size;
-  }
-  std::copy(sig.begin(), sig.end(),
-            sig_size <= kInlineSig ? inline_sig.data() : heap.get());
-}
-
 size_t RecoveredDigestCache::Find(const Shard& shard, const Set& set,
                                   uint64_t fp, const Signature& sig) {
   for (size_t w = 0; w < kWays; ++w) {
     // The fingerprint only narrows the scan; a hit needs the full bytes.
     if (set.fingerprints[w] == fp && set.slot_refs[w] != 0 &&
-        shard.slots[set.slot_refs[w] - 1].SigEquals(sig)) {
+        shard.slots[set.slot_refs[w] - 1].sig == sig) {
       return w;
     }
   }
@@ -188,7 +178,7 @@ void RecoveredDigestCache::Insert(uint64_t domain, const Signature& sig,
   Slot& slot = shard.slots[set->slot_refs[way] - 1];
   slot.domain = domain;
   slot.digest = digest;
-  slot.AssignSig(sig);
+  slot.sig = sig;
 }
 
 void RecoveredDigestCache::Clear() {

@@ -1,7 +1,6 @@
 #ifndef VBTREE_CRYPTO_RECOVERED_DIGEST_CACHE_H_
 #define VBTREE_CRYPTO_RECOVERED_DIGEST_CACHE_H_
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -103,28 +102,14 @@ class RecoveredDigestCache {
  private:
   static constexpr size_t kWays = 8;
 
-  static constexpr size_t kInlineSig = 24;
-
-  /// One cached recovery in one cache line. A signature of up to
-  /// kInlineSig bytes (the 16-byte AES stand-in) is stored inline; a
-  /// longer one (RSA) in `heap`, which keeps its capacity when the slot
-  /// is refilled, so a warm slot is reused without allocating.
+  /// One cached recovery in one cache line. A Signature keeps a 16-byte
+  /// AES stand-in inline; an RSA signature's heap buffer is kept when the
+  /// slot is refilled (copy-assignment reuses it), so a warm slot is
+  /// reused without allocating.
   struct alignas(64) Slot {
     uint64_t domain = 0;
     Digest digest;
-    uint32_t sig_size = 0;
-    uint32_t heap_capacity = 0;
-    std::unique_ptr<uint8_t[]> heap;
-    std::array<uint8_t, kInlineSig> inline_sig{};
-
-    const uint8_t* sig_data() const {
-      return sig_size <= kInlineSig ? inline_sig.data() : heap.get();
-    }
-    bool SigEquals(const Signature& sig) const {
-      return sig.size() == sig_size &&
-             std::equal(sig.begin(), sig.end(), sig_data());
-    }
-    void AssignSig(const Signature& sig);
+    Signature sig;
   };
   static_assert(sizeof(Slot) == 64);
 

@@ -6,8 +6,8 @@
 #include <shared_mutex>
 #include <string>
 
-#include "edge/network.h"
 #include "edge/partition_map.h"
+#include "edge/propagation/transport.h"
 #include "edge/replica_store.h"
 #include "query/predicate.h"
 #include "vbtree/vb_tree.h"

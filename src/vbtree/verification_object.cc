@@ -1,5 +1,10 @@
 #include "vbtree/verification_object.h"
 
+#include <algorithm>
+#include <bit>
+
+#include "crypto/recovered_digest_cache.h"
+
 namespace vbtree {
 
 namespace {
@@ -185,13 +190,39 @@ Result<VerificationObject> DeserializeImpl(ByteReader* r,
 }  // namespace
 
 uint32_t SignaturePool::Intern(const Signature& sig) {
-  auto [it, inserted] =
-      index_.emplace(sig, static_cast<uint32_t>(entries_.size()));
-  if (inserted) {
-    entries_.push_back(sig);
-    entry_bytes_ += sig.size();
+  // Grow before probing so the probe below always ends at an empty slot.
+  // A deserialized pool has entries but no index; the first Intern
+  // indexes them all.
+  if (2 * (entries_.size() + 1) > index_.size()) {
+    Rehash(std::bit_ceil(std::max<size_t>(4 * (entries_.size() + 1), 64)));
   }
-  return it->second;
+  const uint64_t fp = SignatureHash{}(sig);
+  const uint64_t tag = fp & kTagMask;
+  const size_t mask = index_.size() - 1;
+  for (size_t i = fp & mask;; i = (i + 1) & mask) {
+    const uint64_t slot = index_[i];
+    if (slot == 0) {
+      const auto idx = static_cast<uint32_t>(entries_.size());
+      index_[i] = tag | (uint64_t{idx} + 1);
+      entries_.push_back(sig);
+      entry_bytes_ += sig.size();
+      return idx;
+    }
+    // The tag only skips; a hit needs the full bytes.
+    const auto idx = static_cast<uint32_t>((slot & ~kTagMask) - 1);
+    if ((slot & kTagMask) == tag && entries_[idx] == sig) return idx;
+  }
+}
+
+void SignaturePool::Rehash(size_t slots) {
+  index_.assign(slots, 0);
+  const size_t mask = slots - 1;
+  for (size_t idx = 0; idx < entries_.size(); ++idx) {
+    const uint64_t fp = SignatureHash{}(entries_[idx]);
+    size_t i = fp & mask;
+    while (index_[i] != 0) i = (i + 1) & mask;
+    index_[i] = (fp & kTagMask) | (uint64_t{idx} + 1);
+  }
 }
 
 void SignaturePool::Serialize(ByteWriter* w) const {

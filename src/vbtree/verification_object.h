@@ -2,7 +2,6 @@
 #define VBTREE_VBTREE_VERIFICATION_OBJECT_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -24,6 +23,13 @@ namespace vbtree {
 /// Build side: `Intern` deduplicates and returns the entry index.
 /// Read side: `Deserialize` then `Get`, which bounds-checks so a
 /// malicious edge cannot send indices past the table.
+///
+/// The build-side index is an open-addressed (linear-probing) table of
+/// entry numbers over `entries_`, kept at most half full. Each slot packs
+/// the high half of the signature's SignatureHash fingerprint (a tag that
+/// skips most non-matching entries) with 1 + the entry number; a tag
+/// match is confirmed by comparing the full bytes. Entries stay in
+/// first-seen order, which is the wire order.
 class SignaturePool {
  public:
   /// Returns the pool index of `sig`, inserting it on first sight.
@@ -43,8 +49,15 @@ class SignaturePool {
   static Result<SignaturePool> Deserialize(ByteReader* r);
 
  private:
+  static constexpr uint64_t kTagMask = ~uint64_t{0} << 32;
+
+  /// Rebuilds index_ with `slots` (a power of two) slots over every entry.
+  void Rehash(size_t slots);
+
   std::vector<Signature> entries_;
-  std::map<Signature, uint32_t> index_;  // build side only
+  /// Build side only: 0 marks an empty slot, otherwise
+  /// (fingerprint & kTagMask) | (entry number + 1).
+  std::vector<uint64_t> index_;
   size_t entry_bytes_ = 0;
 };
 

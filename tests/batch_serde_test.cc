@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
 #include "edge/central_server.h"
 #include "edge/edge_server.h"
 #include "query/query_serde.h"
@@ -244,6 +248,106 @@ TEST_F(BatchSerdeTest, TruncatedAndFlippedPooledVONeverCrashes) {
     (void)VerificationObject::DeserializePooled(&r, pool);
   }
   SUCCEED();
+}
+
+/// First-seen-order interner over std::map: the reference the pool's
+/// open-addressed index must agree with, entry for entry and byte for byte.
+struct ReferenceInterner {
+  std::map<Signature, uint32_t> index;
+  std::vector<Signature> entries;
+
+  uint32_t Intern(const Signature& sig) {
+    auto [it, inserted] =
+        index.emplace(sig, static_cast<uint32_t>(entries.size()));
+    if (inserted) entries.push_back(sig);
+    return it->second;
+  }
+
+  std::vector<uint8_t> Serialize() const {
+    ByteWriter w;
+    w.PutVarint(entries.size());
+    for (const Signature& s : entries) w.PutLengthPrefixed(s);
+    return w.buffer();
+  }
+};
+
+/// A batch-like intern sequence: 16- and 128-byte signatures, many
+/// sharing long prefixes, about half of the calls repeating an earlier one.
+std::vector<Signature> MixedInternSequence(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Signature> seq;
+  seq.reserve(n);
+  while (seq.size() < n) {
+    if (!seq.empty() && rng.OneIn(2)) {
+      seq.push_back(seq[rng.Uniform(seq.size())]);
+      continue;
+    }
+    Signature sig(rng.OneIn(2) ? 16 : 128, 0);
+    if (!seq.empty() && rng.OneIn(2)) {
+      // Copy a prefix of an earlier signature, then diverge.
+      const Signature& base = seq[rng.Uniform(seq.size())];
+      const size_t keep = rng.Uniform(std::min(base.size(), sig.size()) + 1);
+      std::copy(base.begin(), base.begin() + keep, sig.begin());
+      for (size_t i = keep; i < sig.size(); ++i) {
+        sig[i] = static_cast<uint8_t>(rng.Next());
+      }
+    } else {
+      for (auto& b : sig) b = static_cast<uint8_t>(rng.Next());
+    }
+    seq.push_back(std::move(sig));
+  }
+  return seq;
+}
+
+TEST(SignaturePoolIndexTest, MatchesReferenceInternerOnMixedSequence) {
+  const std::vector<Signature> seq = MixedInternSequence(6000, 11);
+  SignaturePool pool;
+  ReferenceInterner ref;
+  std::map<Signature, uint32_t> first_index;
+  size_t repeats = 0;
+  for (const Signature& sig : seq) {
+    const uint32_t got = pool.Intern(sig);
+    ASSERT_EQ(got, ref.Intern(sig));
+    auto [it, inserted] = first_index.emplace(sig, got);
+    if (!inserted) {
+      ++repeats;
+      ASSERT_EQ(got, it->second) << "a repeat must return its first index";
+    }
+  }
+  EXPECT_GT(repeats, seq.size() / 3);
+
+  ASSERT_EQ(pool.size(), ref.entries.size());
+  size_t bytes = 0;
+  for (uint32_t i = 0; i < pool.size(); ++i) {
+    ASSERT_NE(pool.Get(i), nullptr);
+    EXPECT_EQ(*pool.Get(i), ref.entries[i]);
+    bytes += ref.entries[i].size();
+  }
+  EXPECT_EQ(pool.Get(pool.size()), nullptr);
+  EXPECT_EQ(pool.entry_bytes(), bytes);
+
+  ByteWriter w;
+  pool.Serialize(&w);
+  EXPECT_EQ(w.buffer(), ref.Serialize());
+}
+
+TEST(SignaturePoolIndexTest, DeserializedPoolInternsToExistingEntries) {
+  const std::vector<Signature> seq = MixedInternSequence(500, 12);
+  SignaturePool built;
+  for (const Signature& sig : seq) built.Intern(sig);
+  ByteWriter w;
+  built.Serialize(&w);
+  ByteReader r((Slice(w.buffer())));
+  auto pool = SignaturePool::Deserialize(&r);
+  ASSERT_TRUE(pool.ok());
+  ASSERT_EQ(pool->size(), built.size());
+  EXPECT_EQ(pool->entry_bytes(), built.entry_bytes());
+  for (const Signature& sig : seq) {
+    EXPECT_EQ(pool->Intern(sig), built.Intern(sig));
+  }
+  EXPECT_EQ(pool->size(), built.size());
+  const Signature fresh(16, 0xEE);
+  EXPECT_EQ(pool->Intern(fresh), built.size());
 }
 
 }  // namespace

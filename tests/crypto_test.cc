@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <random>
+#include <type_traits>
+#include <vector>
 
 #include "common/random.h"
 #include "crypto/commutative_hash.h"
@@ -427,6 +429,188 @@ TEST(CryptoCountersTest, CostUnitsWeighting) {
   c.recovers = 2;
   // 10*1 + 4*0.5 + 2*100 = 212
   EXPECT_DOUBLE_EQ(c.CostUnits(0.5, 100), 212.0);
+}
+
+// --- Signature: the small-buffer value type -------------------------------
+
+static_assert(std::is_nothrow_move_constructible_v<Signature>);
+static_assert(std::is_nothrow_move_assignable_v<Signature>);
+static_assert(sizeof(Signature) <= 24);
+
+constexpr size_t kInline = Signature::kInlineCapacity;
+
+std::vector<uint8_t> PatternBytes(size_t n, uint8_t seed) {
+  std::vector<uint8_t> v(n);
+  for (size_t i = 0; i < n; ++i) v[i] = static_cast<uint8_t>(seed + 7 * i);
+  return v;
+}
+
+void ExpectBytes(const Signature& s, const std::vector<uint8_t>& want) {
+  ASSERT_EQ(s.size(), want.size());
+  EXPECT_EQ(s.empty(), want.empty());
+  EXPECT_TRUE(std::equal(s.begin(), s.end(), want.begin(), want.end()));
+  EXPECT_EQ(Slice(s), Slice(want));
+}
+
+TEST(SignatureValueTest, LengthsAcrossTheInlineBoundary) {
+  ASSERT_GE(kInline, kDigestLen);
+  for (size_t n : {size_t{0}, size_t{1}, size_t{16}, kInline, kInline + 1,
+                   size_t{128}, size_t{300}}) {
+    SCOPED_TRACE(n);
+    const std::vector<uint8_t> want = PatternBytes(n, 3);
+    Signature s(want.begin(), want.end());
+    ExpectBytes(s, want);
+    EXPECT_GE(s.capacity(), n);
+    if (n <= kInline) {
+      EXPECT_EQ(s.capacity(), kInline);
+    }
+
+    Signature filled(n, 0xAB);
+    ExpectBytes(filled, std::vector<uint8_t>(n, 0xAB));
+
+    Signature copy(s);
+    ExpectBytes(copy, want);
+    if (n > 0) {
+      EXPECT_NE(copy.data(), s.data());
+    }
+    Signature moved(std::move(copy));
+    ExpectBytes(moved, want);
+    EXPECT_TRUE(copy.empty());  // NOLINT(bugprone-use-after-move)
+
+    Signature assigned;
+    assigned = s;
+    ExpectBytes(assigned, want);
+    Signature move_assigned(5, 0x11);
+    move_assigned = std::move(assigned);
+    ExpectBytes(move_assigned, want);
+    EXPECT_TRUE(assigned.empty());  // NOLINT(bugprone-use-after-move)
+  }
+}
+
+TEST(SignatureValueTest, ConstructorsAndMutators) {
+  const Signature list = {1, 2, 3};
+  ExpectBytes(list, {1, 2, 3});
+  Signature s = list;
+  s[1] = 9;
+  ExpectBytes(s, {1, 9, 3});
+  ExpectBytes(list, {1, 2, 3});
+  const std::vector<uint8_t> long_bytes = PatternBytes(128, 5);
+  s.assign(long_bytes.begin(), long_bytes.end());
+  ExpectBytes(s, long_bytes);
+  s.assign(list.begin(), list.end());
+  ExpectBytes(s, {1, 2, 3});
+  s.clear();
+  EXPECT_TRUE(s.empty());
+  EXPECT_GE(s.capacity(), 128u);  // clear keeps the buffer
+}
+
+TEST(SignatureValueTest, SelfAssignmentKeepsBytes) {
+  for (size_t n : {size_t{16}, size_t{128}}) {
+    const std::vector<uint8_t> want = PatternBytes(n, 1);
+    Signature s(want.begin(), want.end());
+    Signature& alias = s;
+    s = alias;
+    ExpectBytes(s, want);
+    s = std::move(alias);
+    ExpectBytes(s, want);
+  }
+}
+
+TEST(SignatureValueTest, MoveFromHeapTransfersTheBuffer) {
+  const std::vector<uint8_t> want = PatternBytes(128, 9);
+  Signature heap(want.begin(), want.end());
+  const uint8_t* buffer = heap.data();
+  Signature moved(std::move(heap));
+  EXPECT_EQ(moved.data(), buffer);
+  ExpectBytes(moved, want);
+  EXPECT_TRUE(heap.empty());  // NOLINT(bugprone-use-after-move)
+
+  Signature target = {7};
+  target = std::move(moved);
+  EXPECT_EQ(target.data(), buffer);
+  ExpectBytes(target, want);
+
+  // The moved-from values are reusable.
+  heap = Signature(3, 0x42);
+  ExpectBytes(heap, {0x42, 0x42, 0x42});
+}
+
+TEST(SignatureValueTest, CopyAssignmentReusesAHeapBuffer) {
+  const std::vector<uint8_t> a = PatternBytes(128, 1);
+  const std::vector<uint8_t> b = PatternBytes(128, 2);
+  Signature slot(a.begin(), a.end());
+  const uint8_t* buffer = slot.data();
+  const Signature other(b.begin(), b.end());
+  slot = other;
+  EXPECT_EQ(slot.data(), buffer);
+  ExpectBytes(slot, b);
+  const Signature small = {1, 2};
+  slot = small;
+  ExpectBytes(slot, {1, 2});
+  EXPECT_EQ(slot, small);
+}
+
+TEST(SignatureValueTest, ComparisonMatchesVector) {
+  std::mt19937_64 gen(20240613);
+  const size_t lengths[] = {0, 1, 2, 8, 15, 16, 17, kInline, kInline + 1, 128};
+  for (int trial = 0; trial < 4000; ++trial) {
+    std::vector<uint8_t> va = PatternBytes(lengths[gen() % 10], gen());
+    std::vector<uint8_t> vb;
+    switch (gen() % 3) {
+      case 0:  // independent
+        vb = PatternBytes(lengths[gen() % 10], gen());
+        break;
+      case 1:  // shared prefix, then differing bytes or lengths
+        vb = va;
+        vb.resize(gen() % (va.size() + 2), static_cast<uint8_t>(gen()));
+        if (!vb.empty() && gen() % 2 == 0) {
+          vb[gen() % vb.size()] = static_cast<uint8_t>(gen());
+        }
+        break;
+      default:  // equal
+        vb = va;
+        break;
+    }
+    for (auto& byte : va) {
+      if (gen() % 8 == 0) byte ^= 0x80;  // exercise the unsigned order
+    }
+    const Signature a(va.begin(), va.end());
+    const Signature b(vb.begin(), vb.end());
+    EXPECT_EQ(a == b, va == vb);
+    EXPECT_EQ(a != b, va != vb);
+    EXPECT_EQ(a < b, va < vb);
+    EXPECT_EQ(b < a, vb < va);
+  }
+}
+
+TEST(SignatureValueTest, GrowthAcrossTheBoundaryKeepsBytes) {
+  std::vector<uint8_t> want;
+  Signature s;
+  for (size_t i = 0; i < 300; ++i) {
+    const auto b = static_cast<uint8_t>(i * 13 + 1);
+    s.push_back(b);
+    want.push_back(b);
+    ASSERT_EQ(s.size(), want.size());
+    ASSERT_TRUE(std::equal(s.begin(), s.end(), want.begin()));
+  }
+
+  Signature r = {1, 2, 3};
+  r.resize(kInline, 0x5A);
+  want = {1, 2, 3};
+  want.resize(kInline, 0x5A);
+  ExpectBytes(r, want);
+  r.resize(kInline + 1, 0x6B);
+  want.resize(kInline + 1, 0x6B);
+  ExpectBytes(r, want);
+  r.resize(200, 0x7C);
+  want.resize(200, 0x7C);
+  ExpectBytes(r, want);
+  r.resize(4);
+  want.resize(4);
+  ExpectBytes(r, want);
+  r.resize(6);
+  want.resize(6);
+  ExpectBytes(r, want);
 }
 
 }  // namespace

@@ -71,7 +71,7 @@ class DeltaTest : public ::testing::Test {
   }
 
   Schema schema_;
-  SimulatedNetwork net_;
+  InProcessTransport net_;
   std::unique_ptr<CentralServer> central_;
   std::unique_ptr<EdgeServer> edge_;
   int64_t next_key_ = 10000;

@@ -44,7 +44,7 @@ class EdgeComputingTest : public ::testing::Test {
   }
 
   Schema schema_;
-  SimulatedNetwork net_;
+  InProcessTransport net_;
   std::unique_ptr<CentralServer> central_;
   std::unique_ptr<EdgeServer> edge1_, edge2_;
   std::unique_ptr<Client> client_;

@@ -25,7 +25,7 @@ TEST(IntegrationTest, LifecycleAtScale) {
   ASSERT_TRUE(central.LoadTable("t", testutil::MakeRows(schema, 20000, &rng))
                   .ok());
 
-  SimulatedNetwork net;
+  InProcessTransport net;
   EdgeServer edge("edge-1");
   ASSERT_TRUE(testutil::Publish(&central, "t", &edge, &net).ok());
   Client client(central.db_name(), central.key_directory());

@@ -65,7 +65,7 @@ TEST_F(JoinViewTest, MaterializesAllMatches) {
 TEST_F(JoinViewTest, ViewIsQueryableAndVerifiable) {
   // Distribute the view to an edge server and run an authenticated query.
   EdgeServer edge("edge-1");
-  SimulatedNetwork net;
+  InProcessTransport net;
   ASSERT_TRUE(testutil::Publish(central_.get(), "orders_customers", &edge, &net).ok());
 
   Client client(central_->db_name(), central_->key_directory());

@@ -67,7 +67,7 @@ class PartitionMapTest : public ::testing::Test {
   }
 
   Schema schema_;
-  SimulatedNetwork net_;
+  InProcessTransport net_;
   std::unique_ptr<CentralServer> central_;
   std::unique_ptr<EdgeServer> edge1_, edge2_;
   std::unique_ptr<DistributionHub> hub_;

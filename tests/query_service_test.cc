@@ -139,7 +139,7 @@ class QueryServiceTest : public ::testing::Test {
   }
 
   Schema schema_;
-  SimulatedNetwork net_;
+  InProcessTransport net_;
   std::unique_ptr<CentralServer> central_;
   std::unique_ptr<EdgeServer> edge_;
   std::unique_ptr<Client> client_;

@@ -38,7 +38,7 @@ struct Stack {
   std::unique_ptr<EdgeServer> edge;
   std::unique_ptr<DistributionHub> hub;
   std::unique_ptr<Client> client;
-  SimulatedNetwork net;
+  InProcessTransport net;
   Schema schema;
 
   ~Stack() {

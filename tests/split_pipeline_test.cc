@@ -189,7 +189,7 @@ TEST(SplitPipelineTest, AutoSplitConvergesUnderSkewedWrites) {
 
   // The split layout serves verified reads: ship everything to an edge
   // and authenticate ranges crossing the new shard boundaries.
-  SimulatedNetwork net;
+  InProcessTransport net;
   EdgeServer edge("edge");
   PropagationOptions popts;
   popts.auto_start = false;
@@ -230,7 +230,7 @@ TEST(SplitPipelineTest, PinnedReadRejectsEpochMixAcrossTables) {
             .ok());
   }
 
-  SimulatedNetwork net;
+  InProcessTransport net;
   EdgeServer edge("edge");
   PropagationOptions popts;
   popts.auto_start = false;
@@ -295,7 +295,7 @@ TEST(SplitPipelineTest, SiblingSubstitutionFailsVerification) {
   const std::string left_name = map->shard_name(0);
   const std::string right_name = map->shard_name(1);
 
-  SimulatedNetwork net;
+  InProcessTransport net;
   EdgeServer edge("edge");
   PropagationOptions popts;
   popts.auto_start = false;

@@ -49,7 +49,7 @@ struct CliState {
   std::unique_ptr<CentralServer> central;
   std::unique_ptr<EdgeServer> edge;
   std::unique_ptr<Client> client;
-  SimulatedNetwork net;
+  InProcessTransport net;
   /// Propagation hub in manual mode: `publish` / `sync` drive flushes so
   /// the walkthrough stays step-by-step.
   std::unique_ptr<DistributionHub> hub;
