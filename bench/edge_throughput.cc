@@ -174,7 +174,8 @@ struct RunResult {
   uint64_t latch_wait_us_total = 0;
   double olc_restarts_per_query = 0;
   double latch_wait_avg_us = 0;
-  /// Raw (self-contained) VO bytes — what wire v1 would have shipped.
+  /// Raw (self-contained) VO bytes — what the batches would have shipped
+  /// without signature interning.
   uint64_t vo_bytes_total = 0;
   /// VO bytes actually shipped (wire v2: signature pool + pooled VOs).
   uint64_t vo_wire_bytes_total = 0;

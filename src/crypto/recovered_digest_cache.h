@@ -172,9 +172,9 @@ class RecoveredDigestCache {
 
 /// Recoverer decorator that consults a RecoveredDigestCache before
 /// falling through to the wrapped Recoverer, inserting on miss. Gives
-/// single-query call sites (Client::Query, the naive scheme, tools) the
-/// same cross-call memoization the BatchVerifier's pool phase uses,
-/// without changing their Verifier wiring.
+/// single-verifier call sites the same cross-call memoization the
+/// BatchVerifier's pool phase uses, without changing their Verifier
+/// wiring.
 class CachingRecoverer : public Recoverer {
  public:
   /// @param domain the signing-key version the signatures resolve under.

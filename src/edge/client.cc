@@ -120,82 +120,6 @@ Result<const PartitionMap*> Client::VerifyMapBytes(const std::string& table,
   return &slot.map;
 }
 
-Result<Client::Verified> Client::QueryOne(EdgeServer* edge,
-                                          const SelectQuery& wire_query,
-                                          const std::string& schema_table,
-                                          const TableMeta& meta, uint64_t now,
-                                          Transport* net,
-                                          const ShardEntry* shard) {
-  EdgeChannels* channels = ResolveChannels(edge, net);
-
-  // --- request over the wire ---
-  ByteWriter req;
-  SerializeSelectQuery(wire_query, &req);
-  if (channels != nullptr) net->Record(channels->up, req.size());
-  VBT_ASSIGN_OR_RETURN(std::vector<uint8_t> resp_bytes,
-                       edge->HandleQueryBytes(Slice(req.buffer())));
-  if (channels != nullptr) net->Record(channels->down, resp_bytes.size());
-
-  // --- parse ---
-  ByteReader r((Slice(resp_bytes)));
-  VBT_ASSIGN_OR_RETURN(
-      QueryResponse resp,
-      DeserializeQueryResponse(&r, meta.schema, wire_query.projection));
-
-  Verified out;
-  out.request_bytes = req.size();
-  out.result_bytes = resp.result_bytes;
-  out.vo_bytes = resp.vo_bytes;
-  out.vo_digests = resp.vo.DigestCount();
-
-  out.replica_version = resp.replica_version;
-
-  // --- key freshness (§3.4): reject stale key versions ---
-  auto rec_or = keys_->RecovererFor(resp.vo.key_version, now);
-  if (!rec_or.ok()) {
-    out.rows = std::move(resp.rows);
-    out.verification = rec_or.status();
-    return out;
-  }
-  std::shared_ptr<Recoverer> base = rec_or.MoveValueUnsafe();
-  CountingRecoverer recoverer(base.get(), &out.counters);
-
-  // --- authenticate under the (shard-qualified) digest schema ---
-  // A lineage shard (split child still in its ancestor's digest domain,
-  // per the client-verified map entry) verifies its per-row and interior
-  // signatures under the ancestor's name, and its VO anchors at the
-  // binding signature tying that root to *this* shard's signed range —
-  // a sibling tree from the same domain can never stand in for it.
-  const bool lineage = shard != nullptr && !shard->lineage.empty();
-  const std::string& digest_table = lineage ? shard->lineage : schema_table;
-  DigestSchema ds(db_name_, digest_table, meta.schema, meta.algo,
-                  meta.modulus_bits);
-  Verifier verifier(std::move(ds), &recoverer);
-  Verifier::TopBinding binding;
-  if (lineage) {
-    binding = Verifier::TopBinding{schema_table, shard->lo, shard->hi};
-    verifier.set_top_binding(&binding);
-  }
-  verifier.set_counters(&out.counters);
-  if (verify_fast_path_ && digest_cache_ != nullptr) {
-    verifier.set_digest_cache(digest_cache_.get(), resp.vo.key_version);
-  }
-  out.verification = verifier.VerifySelect(wire_query, resp.rows, resp.vo);
-  out.rows = std::move(resp.rows);
-
-  // --- replica freshness: flag non-monotonic reads across edges ---
-  // The replica version is reported by the (untrusted) edge outside the
-  // VO, so it only informs the watermark when the answer itself
-  // authenticated — otherwise a tampered response could poison the
-  // staleness signal for every later honest read.
-  if (out.verification.ok()) {
-    uint64_t& watermark = freshness_[schema_table];
-    out.stale_replica = resp.replica_version < watermark;
-    watermark = std::max(watermark, resp.replica_version);
-  }
-  return out;
-}
-
 void Client::MergeVerifiedPart(Verified* merged, Verified part,
                                bool first_part) {
   if (first_part) {
@@ -234,68 +158,27 @@ void Client::MergeVerifiedPart(Verified* merged, Verified part,
 Result<Client::Verified> Client::Query(EdgeServer* edge,
                                        const SelectQuery& query, uint64_t now,
                                        Transport* net) {
-  auto meta_it = tables_.find(query.table);
-  if (meta_it == tables_.end()) {
-    return Status::InvalidArgument("table not registered with client: " +
-                                   query.table);
+  QueryBatch batch;
+  batch.table = query.table;
+  batch.queries.push_back(query);
+  VBT_ASSIGN_OR_RETURN(
+      VerifiedBatch vb,
+      ServeBatch(
+          edge,
+          [edge](std::vector<uint8_t> request) {
+            return edge->HandleQueryBatchBytes(Slice(request));
+          },
+          batch, now, /*verifier=*/nullptr, net));
+  Verified out = std::move(vb.results[0]);
+  // An error the edge reported for the query (bad predicate, empty
+  // range) is the call's outcome, as a transport error is; only
+  // authentication failures stay in `verification`.
+  if (!out.verification.ok() && !out.verification.IsVerificationFailure()) {
+    return out.verification;
   }
-  const TableMeta& meta = meta_it->second;
-
-  SelectQuery q = query;
-  q.NormalizeProjection();
-
-  if (!meta.sharded) {
-    return QueryOne(edge, q, q.table, meta, now, net);
-  }
-
-  // --- sharded: authenticate the layout, then scatter-gather ---
-  auto map_bytes = edge->PartitionMapBytes(query.table);
-  if (!map_bytes.ok()) return map_bytes.status();
-  auto map_or = VerifyMapBytes(query.table, meta, Slice(**map_bytes), now);
-  if (!map_or.ok()) {
-    // An unverifiable or stale map is an authentication failure, not a
-    // transport error: the edge presented a layout this client must not
-    // trust.
-    Verified out;
-    out.verification = map_or.status();
-    return out;
-  }
-  const PartitionMap& map = **map_or;
-  std::vector<size_t> owners = map.ShardIndicesForRange(q.range);
-  if (owners.empty()) {
-    return Status::InvalidArgument("empty key range");
-  }
-
-  Verified out;
-  bool first = true;
-  for (size_t idx : owners) {
-    SelectQuery sub = q;
-    const std::string shard = map.shard_name(idx);
-    if (owners.size() == 1) {
-      // Single-shard range: ship the base-table query and let the edge
-      // route it (the expected shard — hence the digest schema — is
-      // still dictated by the client's verified map).
-    } else {
-      sub.table = shard;
-      sub.range.lo = std::max(q.range.lo, map.shards[idx].lo);
-      sub.range.hi = std::min(q.range.hi, map.shards[idx].hi);
-    }
-    auto part = QueryOne(edge, sub, shard, meta, now, net, &map.shards[idx]);
-    if (!part.ok()) {
-      // A shard the signed map dictates is unanswerable: completeness
-      // cannot be established, which is an authentication failure (an
-      // edge must not be able to hide a shard behind an "error").
-      Verified missing;
-      missing.verification = Status::VerificationFailure(
-          "shard " + shard + " unanswered: " + part.status().ToString());
-      MergeVerifiedPart(&out, std::move(missing), first);
-    } else {
-      MergeVerifiedPart(&out, std::move(*part), first);
-    }
-    first = false;
-  }
-  out.map_epoch = map.epoch;
-  out.shards_touched = owners.size();
+  out.request_bytes = vb.request_bytes;
+  out.vo_bytes = vb.stats.vo_wire_bytes;
+  out.counters = vb.crypto;
   return out;
 }
 
@@ -499,6 +382,20 @@ Result<Client::VerifiedBatch> Client::QueryBatched(QueryService* service,
                                                    uint64_t now,
                                                    BatchVerifier* verifier,
                                                    Transport* net) {
+  return ServeBatch(
+      service->edge(),
+      [service](std::vector<uint8_t> request) {
+        return service->SubmitBatchBytes(std::move(request)).get();
+      },
+      batch, now, verifier, net);
+}
+
+Result<Client::VerifiedBatch> Client::ServeBatch(EdgeServer* edge,
+                                                 const ServeFn& serve,
+                                                 const QueryBatch& batch,
+                                                 uint64_t now,
+                                                 BatchVerifier* verifier,
+                                                 Transport* net) {
   auto meta_it = tables_.find(batch.table);
   if (meta_it == tables_.end()) {
     return Status::InvalidArgument("table not registered with client: " +
@@ -522,10 +419,9 @@ Result<Client::VerifiedBatch> Client::QueryBatched(QueryService* service,
     q.NormalizeProjection();
   }
 
-  EdgeServer* edge = service->edge();
   EdgeChannels* channels = ResolveChannels(edge, net);
 
-  // --- request over the wire, through the edge's submission queue ---
+  // --- request over the wire ---
   ByteWriter req(1 << 10);
   SerializeQueryBatch(b, &req);
   const size_t request_bytes = req.size();
@@ -540,8 +436,9 @@ Result<Client::VerifiedBatch> Client::QueryBatched(QueryService* service,
     // A fault-injecting transport may hold a message for reordering and
     // run the delivery fn after this frame has returned (the sender sees
     // OK with an empty cell). The fns therefore capture only heap cells
-    // by value, and writes/reads go through the cell's mutex — a late
-    // release lands in an abandoned cell instead of a dead stack frame.
+    // and copies by value, and writes/reads go through the cell's mutex —
+    // a late release lands in an abandoned cell instead of a dead stack
+    // frame.
     struct RpcCell {
       std::mutex mu;
       std::vector<uint8_t> bytes;
@@ -549,13 +446,11 @@ Result<Client::VerifiedBatch> Client::QueryBatched(QueryService* service,
     auto served = std::make_shared<RpcCell>();
     VBT_RETURN_NOT_OK(net->Deliver(
         channels->up, Slice(req.buffer()),
-        [service, served](Slice payload) -> Status {
+        [serve, served](Slice payload) -> Status {
           VBT_ASSIGN_OR_RETURN(
               std::vector<uint8_t> out,
-              service
-                  ->SubmitBatchBytes(std::vector<uint8_t>(
-                      payload.data(), payload.data() + payload.size()))
-                  .get());
+              serve(std::vector<uint8_t>(payload.data(),
+                                         payload.data() + payload.size())));
           std::lock_guard<std::mutex> g(served->mu);
           served->bytes = std::move(out);
           return Status::OK();
@@ -580,8 +475,7 @@ Result<Client::VerifiedBatch> Client::QueryBatched(QueryService* service,
       resp_bytes = std::move(delivered->bytes);
     }
   } else {
-    VBT_ASSIGN_OR_RETURN(resp_bytes,
-                         service->SubmitBatchBytes(req.TakeBuffer()).get());
+    VBT_ASSIGN_OR_RETURN(resp_bytes, serve(req.TakeBuffer()));
   }
   if (resp_bytes.empty()) {
     // An empty cell means the wire swallowed a leg (e.g. a reordered
@@ -597,6 +491,13 @@ Result<Client::VerifiedBatch> Client::QueryBatched(QueryService* service,
   const bool sharded_wire =
       resp_bytes[0] == static_cast<uint8_t>(BatchWire::kSharded);
   if (!sharded_wire) {
+    // --- parse the single coalesced response ---
+    ByteReader r((Slice(resp_bytes)));
+    VBT_ASSIGN_OR_RETURN(
+        QueryBatchResponse resp,
+        DeserializeQueryBatchResponse(&r, meta.schema, b.queries));
+    out.replica_version = resp.replica_version;
+    out.stats = resp.stats;
     if (meta.sharded) {
       // The edge answered with a direct (single-replica) response for a
       // table the catalog says is sharded. That is legitimate only when
@@ -609,7 +510,16 @@ Result<Client::VerifiedBatch> Client::QueryBatched(QueryService* service,
       auto map_or =
           VerifyMapBytes(batch.table, meta, Slice(**map_bytes), now);
       out.map_verify_us = MicrosSince(map_verify_start);
-      if (!map_or.ok()) return map_or.status();
+      if (!map_or.ok()) {
+        // Same report as the sharded path below: the rows, unverifiable,
+        // with the failure on every slot and an OK outer status.
+        out.results.resize(resp.responses.size());
+        for (size_t i = 0; i < resp.responses.size(); ++i) {
+          out.results[i].rows = std::move(resp.responses[i].rows);
+          out.results[i].verification = map_or.status();
+        }
+        return out;
+      }
       const PartitionMap& map = **map_or;
       if (map.shards.size() != 1 || map.shard_name(0) != batch.table) {
         return Status::Corruption(
@@ -617,13 +527,7 @@ Result<Client::VerifiedBatch> Client::QueryBatched(QueryService* service,
       }
       out.map_epoch = map.epoch;
     }
-    // --- parse + verify the single coalesced response ---
-    ByteReader r((Slice(resp_bytes)));
-    VBT_ASSIGN_OR_RETURN(
-        QueryBatchResponse resp,
-        DeserializeQueryBatchResponse(&r, meta.schema, b.queries));
-    out.replica_version = resp.replica_version;
-    out.stats = resp.stats;
+    // --- verify ---
     const auto verify_start = std::chrono::steady_clock::now();
     GroupOutcome group =
         mode == TrustMode::kCertified
@@ -633,6 +537,7 @@ Result<Client::VerifiedBatch> Client::QueryBatched(QueryService* service,
                               b.queries, resp, now, mode, edge->name());
     out.verify_us = MicrosSince(verify_start);
     out.results = std::move(group.results);
+    for (Verified& v : out.results) v.map_epoch = out.map_epoch;
     out.crypto = group.crypto;
     out.top_memo_hits = group.top_memo_hits;
     out.deferred_queries = group.deferred;
@@ -651,6 +556,9 @@ Result<Client::VerifiedBatch> Client::QueryBatched(QueryService* service,
     return Status::Corruption(
         "edge answered an unsharded table with a sharded batch response");
   }
+  for (const ShardBatchGroup& g : decoded.groups) {
+    out.stats.Accumulate(g.resp.stats);
+  }
 
   // Authenticate the map the edge claims to have scattered under; the
   // decode above already validated the groups against the plan this map
@@ -660,20 +568,21 @@ Result<Client::VerifiedBatch> Client::QueryBatched(QueryService* service,
       VerifyMapBytes(batch.table, meta, Slice(decoded.map_bytes), now);
   out.map_verify_us = MicrosSince(map_verify_start);
   if (!map_or.ok()) {
-    // Deliver the (unverifiable) rows with the failure on every slot:
-    // the caller sees its data but nothing authenticates.
+    // Deliver the (unverifiable) rows with the failure on every slot —
+    // a slot no shard answered included: the caller sees its data but
+    // nothing authenticates.
     out.results.resize(b.queries.size());
     for (size_t g = 0; g < decoded.groups.size(); ++g) {
       const std::vector<ShardSlice>& slices = decoded.plan[g].slices;
       auto& responses = decoded.groups[g].resp.responses;
       for (size_t s = 0; s < slices.size() && s < responses.size(); ++s) {
         Verified& v = out.results[slices[s].query_index];
-        v.verification = map_or.status();
         v.rows.insert(v.rows.end(),
                       std::make_move_iterator(responses[s].rows.begin()),
                       std::make_move_iterator(responses[s].rows.end()));
       }
     }
+    for (Verified& v : out.results) v.verification = map_or.status();
     return out;
   }
   const PartitionMap& map = **map_or;
@@ -692,7 +601,6 @@ Result<Client::VerifiedBatch> Client::QueryBatched(QueryService* service,
       slice_queries.push_back(slice.query);
     }
     QueryBatchResponse& resp = decoded.groups[g].resp;
-    out.stats.Accumulate(resp.stats);
     // Captured before DeferBatchGroup moves the response into its ticket.
     const uint64_t group_version = resp.replica_version;
     const ShardEntry& entry = map.shards[planned.shard_index];

@@ -1,6 +1,7 @@
 #ifndef VBTREE_EDGE_CLIENT_H_
 #define VBTREE_EDGE_CLIENT_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <span>
@@ -8,7 +9,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "crypto/counting_recoverer.h"
+#include "crypto/counters.h"
 #include "crypto/key_manager.h"
 #include "crypto/recovered_digest_cache.h"
 #include "edge/edge_server.h"
@@ -139,12 +140,17 @@ class Client {
     CryptoCounters counters;
   };
 
-  /// Sends `query` to `edge` and verifies the answer at logical time
-  /// `now`. Transport errors surface as the outer Status; authentication
-  /// failures are reported in Verified::verification. Sharded tables
-  /// scatter-gather: a range spanning k shards issues k clamped
-  /// sub-queries and merges their verified rows in shard (= key) order;
-  /// a single-shard range ships as one query the edge routes itself.
+  /// Sends `query` to `edge` as a one-query batch and verifies the answer
+  /// at logical time `now`, through the same decode and verify path as
+  /// QueryBatched; the edge serves the request bytes directly instead of
+  /// through a service queue. Transport errors and an error the edge
+  /// reports for the query surface as the outer Status; authentication
+  /// failures are reported in Verified::verification. A range over a
+  /// sharded table costs one request and one response: the edge scatters
+  /// it and the per-shard parts merge in shard (= key) order.
+  /// `request_bytes` is the batch request's size, `vo_bytes` the VO bytes
+  /// shipped (signature pool plus pooled skeletons), and `counters` the
+  /// batch's whole crypto tally, pool recovery included.
   Result<Verified> Query(EdgeServer* edge, const SelectQuery& query,
                          uint64_t now, Transport* net = nullptr);
 
@@ -318,18 +324,18 @@ class Client {
                                              const TableMeta& meta,
                                              Slice bytes, uint64_t now);
 
-  /// One wire query against `edge`, authenticated under `schema_table`
-  /// (the shard-qualified watermark key; equals wire_query.table for
-  /// unsharded tables). `shard` — the client-verified map entry, when
-  /// sharded — selects the digest schema: a lineage shard (split child
-  /// still in its ancestor's digest domain) verifies under
-  /// `shard->lineage` with the VO anchored at the shard binding
-  /// signature for `schema_table`'s signed range.
-  Result<Verified> QueryOne(EdgeServer* edge, const SelectQuery& wire_query,
-                            const std::string& schema_table,
-                            const TableMeta& meta, uint64_t now,
-                            Transport* net,
-                            const ShardEntry* shard = nullptr);
+  /// Serves one request's bytes, returning the response bytes: the
+  /// service queue for QueryBatched, the edge itself for Query.
+  using ServeFn =
+      std::function<Result<std::vector<uint8_t>>(std::vector<uint8_t>)>;
+
+  /// The one read path behind Query and QueryBatched: encodes `batch`,
+  /// ships it over the client->edge / edge->client legs (Record + Deliver
+  /// on each), then decodes the v2 or v3 response, authenticates the
+  /// partition map and verifies every group.
+  Result<VerifiedBatch> ServeBatch(EdgeServer* edge, const ServeFn& serve,
+                                   const QueryBatch& batch, uint64_t now,
+                                   BatchVerifier* verifier, Transport* net);
 
   /// Folds one shard's verified part into a scattered query's merged
   /// outcome (rows append in shard order, cross-shard boundary check,

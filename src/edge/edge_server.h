@@ -31,9 +31,9 @@ enum class ResponseTamper {
   kDropShardGroup,
 };
 
-/// A query answer as shipped from edge to client.
+/// One query's answer inside a batch response.
 struct QueryResponse {
-  /// Per-query outcome inside a batch (wire v2): a slot whose query
+  /// Per-query outcome (wire v2 status slot): a slot whose query
   /// failed validation or execution carries its status here with empty
   /// rows/VO, so one bad predicate does not poison its batch siblings.
   /// Note the status is asserted by the *untrusted* edge — a lying edge
@@ -67,12 +67,12 @@ struct BatchExecStats {
   uint64_t tuple_fetches = 0;
   uint64_t shared_fetch_hits = 0;
   uint64_t total_result_bytes = 0;
-  /// Raw (self-contained, v1-equivalent) VO bytes summed over the batch —
-  /// what the batch would have cost without signature interning.
+  /// Raw (self-contained) VO bytes summed over the batch — what the
+  /// batch would have cost without signature interning.
   uint64_t total_vo_bytes = 0;
   /// Actual VO wire cost under v2: the signature pool plus every
   /// pool-referencing skeleton. 0 when the response never hit the wire
-  /// (in-process dispatch) or was shipped as v1.
+  /// (in-process dispatch).
   uint64_t vo_wire_bytes = 0;
   /// Distinct signatures interned into the batch pool (v2 only).
   uint64_t sig_pool_entries = 0;
@@ -116,9 +116,9 @@ struct QueryBatchResponse {
   /// The batch's signature pool, retained by the wire-v2 deserializer so
   /// the client's BatchVerifier can recover every distinct signature once
   /// and have the VOs consume the digests by pool index. Null when the
-  /// response was built in-process or arrived as v1. Shared because
-  /// QueryBatchResponse is moved around while verification jobs hold
-  /// pool-index references into it.
+  /// response was built in-process. Shared because QueryBatchResponse is
+  /// moved around while verification jobs hold pool-index references
+  /// into it.
   std::shared_ptr<const SignaturePool> sig_pool;
 };
 
@@ -224,15 +224,6 @@ class EdgeServer {
     return tables_.count(table) != 0;
   }
 
-  /// Executes a query against local replicas and builds the VO. A query
-  /// naming a base table with an installed map is routed to the owning
-  /// shard when its range lies within one shard; a range spanning
-  /// several shards must be scattered by the caller (kInvalidArgument).
-  Result<QueryResponse> HandleQuery(const SelectQuery& query) const;
-
-  /// Full wire path: parse request bytes, execute, serialize response.
-  Result<std::vector<uint8_t>> HandleQueryBytes(Slice request) const;
-
   /// Executes a QueryBatch against one directly-addressed replica with
   /// shared traversals (latch-free, batch-wide tuple memo) and builds
   /// the coalesced response. `bypass_vo_cache` skips the VO cache
@@ -250,11 +241,11 @@ class EdgeServer {
       const QueryBatch& batch, bool bypass_vo_cache = false) const;
 
   /// Full wire path for batches, for callers that bypass a QueryService
-  /// (direct dispatch): the response's queue_wait_us is 0 by definition.
-  /// Queued dispatch goes through QueryService::SubmitBatchBytes, which
-  /// stamps the measured wait into the serialized stats. Dispatches to
-  /// the direct (v2) or sharded (v3) layout by how `batch.table`
-  /// resolves.
+  /// (direct dispatch, e.g. Client::Query): the response's queue_wait_us
+  /// is 0 by definition. Queued dispatch goes through
+  /// QueryService::SubmitBatchBytes, which stamps the measured wait into
+  /// the serialized stats. Dispatches to the direct (v2) or sharded (v3)
+  /// layout by how `batch.table` resolves.
   Result<std::vector<uint8_t>> HandleQueryBatchBytes(Slice request) const;
 
   /// Shared body of the bytes paths: executes `batch` (direct or
@@ -356,16 +347,10 @@ class EdgeServer {
       const std::string& table, const std::vector<std::string>& keys,
       uint64_t version,
       std::vector<std::shared_ptr<const CachedQuery>>* results) const;
-  std::shared_ptr<const CachedQuery> VOCacheLookup(const std::string& table,
-                                                   const std::string& key,
-                                                   uint64_t version) const;
   void VOCacheInsertBatch(
       const std::string& table, uint64_t version,
       std::vector<std::pair<std::string, std::shared_ptr<const CachedQuery>>>
           entries) const;
-  void VOCacheInsert(const std::string& table, const std::string& key,
-                     uint64_t version,
-                     std::shared_ptr<const CachedQuery> entry) const;
   /// Flushes one table's cache (install paths; exclusive latch held).
   void VOCacheFlush(const std::string& table) const;
 
@@ -391,17 +376,8 @@ class EdgeServer {
 /// and projection (the table is the cache's own key). Exposed for tests.
 std::string VOCacheKey(const SelectQuery& q);
 
-/// Serializes a QueryResponse (rows block + VO block) and computes the
-/// per-component sizes.
-void SerializeQueryResponse(const QueryResponse& resp, ByteWriter* w);
-Result<QueryResponse> DeserializeQueryResponse(
-    ByteReader* r, const Schema& schema, const std::vector<size_t>& projection);
-
 /// Batch response wire versions, selected by the leading version byte.
 enum class BatchWire : uint8_t {
-  /// Self-contained VOs (the original layout behind a version byte).
-  /// Cannot carry per-query statuses or the signature pool.
-  kV1 = 1,
   /// Batch-level signature pool + pool-referencing VOs + per-query
   /// statuses + extended stats trailer.
   kV2 = 2,
@@ -410,20 +386,20 @@ enum class BatchWire : uint8_t {
   kSharded = 3,
 };
 
-/// Batch response wire format: version byte, replica version once, (v2) a
+/// Batch response wire format (v2): version byte, replica version once, a
 /// batch-level signature pool, positional status/rows/VO blocks, stats
-/// trailer. Deserialization needs the (normalized) queries the batch was
-/// built from, for the per-query projections, and validates that the
-/// response count equals the query count (kCorruption otherwise — an
-/// untrusted edge must not be able to drive positional indexing out of
-/// bounds). The trailer's vo_wire_bytes / sig_pool_entries fields are
-/// computed during serialization from what actually hit the wire.
+/// trailer. Deserialization rejects any other version byte as
+/// kCorruption, needs the (normalized) queries the batch was built from,
+/// for the per-query projections, and validates that the response count
+/// equals the query count (kCorruption otherwise — an untrusted edge must
+/// not be able to drive positional indexing out of bounds). The trailer's
+/// vo_wire_bytes / sig_pool_entries fields are computed during
+/// serialization from what actually hit the wire.
 /// `wire_stats`, when supplied, receives a copy of resp.stats with the
 /// serialization-time vo_wire_bytes / sig_pool_entries filled in (the
 /// serving side's accounting hook; the receiving side gets the same
 /// numbers from the trailer).
 void SerializeQueryBatchResponse(const QueryBatchResponse& resp, ByteWriter* w,
-                                 BatchWire wire = BatchWire::kV2,
                                  BatchExecStats* wire_stats = nullptr);
 Result<QueryBatchResponse> DeserializeQueryBatchResponse(
     ByteReader* r, const Schema& schema,

@@ -19,11 +19,8 @@ Result<Value> DeserializeValueWithType(ByteReader* r) {
 
 }  // namespace
 
-namespace {
-
-/// Everything after the table field; shared by the full and sans-table
-/// encodings so the two can never diverge.
-void SerializeSelectQueryTail(const SelectQuery& q, ByteWriter* w) {
+void SerializeSelectQuerySansTable(const SelectQuery& q, ByteWriter* w) {
+  w->PutString(std::string());  // empty table slot keeps the framing
   w->PutI64(q.range.lo);
   w->PutI64(q.range.hi);
   w->PutVarint(q.conditions.size());
@@ -34,18 +31,6 @@ void SerializeSelectQueryTail(const SelectQuery& q, ByteWriter* w) {
   }
   w->PutVarint(q.projection.size());
   for (size_t c : q.projection) w->PutVarint(c);
-}
-
-}  // namespace
-
-void SerializeSelectQuery(const SelectQuery& q, ByteWriter* w) {
-  w->PutString(q.table);
-  SerializeSelectQueryTail(q, w);
-}
-
-void SerializeSelectQuerySansTable(const SelectQuery& q, ByteWriter* w) {
-  w->PutString(std::string());  // empty table slot keeps the framing
-  SerializeSelectQueryTail(q, w);
 }
 
 Result<SelectQuery> DeserializeSelectQuery(ByteReader* r) {

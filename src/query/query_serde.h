@@ -13,13 +13,13 @@ namespace vbtree {
 /// Wire encoding of queries and result rows. Byte counts from these
 /// routines are the "communication cost" the benchmark harness reports
 /// (paper §4.2).
-void SerializeSelectQuery(const SelectQuery& q, ByteWriter* w);
-Result<SelectQuery> DeserializeSelectQuery(ByteReader* r);
-
-/// Same encoding with an empty table slot: the canonical "query bytes
-/// minus table" form shared by batch framing (the batch names the table
-/// once) and the edge VO-cache fingerprint (the cache is per table).
+///
+/// A query is encoded with an empty table slot: the canonical "query
+/// bytes minus table" form shared by batch framing (the batch names the
+/// table once) and the edge VO-cache fingerprint (the cache is per
+/// table). The decoder reads whatever the slot holds.
 void SerializeSelectQuerySansTable(const SelectQuery& q, ByteWriter* w);
+Result<SelectQuery> DeserializeSelectQuery(ByteReader* r);
 
 /// Batched request: the table name once, then each query without its
 /// (redundant) table field.

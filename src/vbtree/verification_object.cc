@@ -21,8 +21,8 @@ size_t CountDigests(const VONode& n) {
   return count;
 }
 
-/// Writes one signature either inline (pool == nullptr, v1) or as a
-/// varint index into the batch pool (v2).
+/// Writes one signature either inline (pool == nullptr, self-contained)
+/// or as a varint index into the batch pool (v2).
 void WriteSig(const Signature& s, ByteWriter* w, SignaturePool* pool) {
   if (pool == nullptr) {
     w->PutLengthPrefixed(Slice(s.data(), s.size()));

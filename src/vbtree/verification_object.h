@@ -135,7 +135,7 @@ struct VerificationObject {
   /// the paper's communication formulas count.
   size_t DigestCount() const;
 
-  /// Exact wire size in bytes of the self-contained (v1) encoding.
+  /// Exact wire size in bytes of the self-contained encoding.
   size_t SerializedSize() const;
 
   void Serialize(ByteWriter* w) const;

@@ -12,8 +12,9 @@
 namespace vbtree {
 namespace {
 
-/// Adversarial wire-format tests for the batch response formats (v1 and
-/// the pooled v2) and the pool-referencing VerificationObject encoding:
+/// Adversarial wire-format tests for the batch response formats (the
+/// pooled v2 and the sharded v3 that embeds one v2 group per shard) and
+/// the pool-referencing VerificationObject encoding:
 /// truncated, bit-flipped and index-out-of-range buffers must come back
 /// as a Status — never a crash, hang or unchecked huge allocation. The
 /// suite is part of the globbed tier-1 set, so the ASan/UBSan CI job
@@ -47,36 +48,84 @@ class BatchSerdeTest : public ::testing::Test {
     }
     auto resp = edge_->HandleQueryBatch(batch_);
     ASSERT_TRUE(resp.ok());
-    ByteWriter w1(1 << 12), w2(1 << 12);
-    SerializeQueryBatchResponse(*resp, &w1, BatchWire::kV1);
-    SerializeQueryBatchResponse(*resp, &w2, BatchWire::kV2);
-    honest_v1_ = w1.TakeBuffer();
+    ByteWriter w2(1 << 12);
+    SerializeQueryBatchResponse(*resp, &w2);
     honest_v2_ = w2.TakeBuffer();
+
+    // A 4-shard table (splits at 100/200/300) on the same edge: its
+    // batches come back as v3, one embedded v2 group per planned shard.
+    ASSERT_TRUE(central_->CreateTable("s", schema_, {100, 200, 300}).ok());
+    ASSERT_TRUE(
+        central_->LoadTable("s", testutil::MakeRows(schema_, 400, &rng)).ok());
+    auto map = central_->TablePartitionMap("s");
+    ASSERT_TRUE(map.ok());
+    ASSERT_EQ(map->shards.size(), 4u);
+    ByteWriter mw;
+    map->Serialize(&mw);
+    ASSERT_TRUE(edge_->InstallPartitionMap(Slice(mw.buffer())).ok());
+    for (size_t i = 0; i < map->shards.size(); ++i) {
+      ASSERT_TRUE(
+          testutil::Publish(central_.get(), map->shard_name(i), edge_.get())
+              .ok());
+    }
+    sharded_batch_.table = "s";
+    for (int i = 0; i < 6; ++i) {
+      SelectQuery q;
+      q.table = "s";
+      q.range = KeyRange{50 + 60 * i, 120 + 60 * i};
+      if (i % 2 == 0) q.projection = {0, 1, 3};
+      q.NormalizeProjection();
+      sharded_batch_.queries.push_back(std::move(q));
+    }
+    auto sharded = edge_->HandleQueryBatchSharded(sharded_batch_);
+    ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+    ASSERT_EQ(sharded->groups.size(), 4u);
+    ByteWriter w3(1 << 12);
+    SerializeShardedQueryBatchResponse(*sharded, &w3);
+    honest_v3_ = w3.TakeBuffer();
   }
 
-  /// Parses `bytes` as a batch response; the property under test is only
+  /// Parses `bytes` as a batch response — v3 through the sharded decoder,
+  /// anything else through the v2 one; the property under test is only
   /// that this returns (any Status) instead of crashing.
-  Status Parse(const std::vector<uint8_t>& bytes) {
+  Status Parse(const std::vector<uint8_t>& bytes, bool sharded = false) {
     ByteReader r((Slice(bytes)));
+    if (sharded) {
+      auto out = DeserializeShardedQueryBatchResponse(
+          &r, schema_, sharded_batch_.queries);
+      return out.ok() ? Status::OK() : out.status();
+    }
     auto out = DeserializeQueryBatchResponse(&r, schema_, batch_.queries);
     return out.ok() ? Status::OK() : out.status();
+  }
+
+  /// The honest buffers every wire-level sweep runs over.
+  struct Wire {
+    const std::vector<uint8_t>* honest;
+    bool sharded;
+  };
+  std::vector<Wire> Wires() const {
+    return {{&honest_v2_, false}, {&honest_v3_, true}};
   }
 
   Schema schema_;
   std::unique_ptr<CentralServer> central_;
   std::unique_ptr<EdgeServer> edge_;
   QueryBatch batch_;
-  std::vector<uint8_t> honest_v1_;
+  QueryBatch sharded_batch_;
   std::vector<uint8_t> honest_v2_;
+  std::vector<uint8_t> honest_v3_;
 };
 
 TEST_F(BatchSerdeTest, HonestBuffersParse) {
-  EXPECT_TRUE(Parse(honest_v1_).ok());
   EXPECT_TRUE(Parse(honest_v2_).ok());
+  Status v3 = Parse(honest_v3_, /*sharded=*/true);
+  EXPECT_TRUE(v3.ok()) << v3.ToString();
 }
 
 TEST_F(BatchSerdeTest, UnknownWireVersionRejected) {
-  for (uint8_t v : {uint8_t{0}, uint8_t{3}, uint8_t{0x7F}, uint8_t{0xFF}}) {
+  for (uint8_t v : {uint8_t{0}, uint8_t{1}, uint8_t{3}, uint8_t{0x7F},
+                    uint8_t{0xFF}}) {
     std::vector<uint8_t> bytes = honest_v2_;
     bytes[0] = v;
     Status s = Parse(bytes);
@@ -91,7 +140,8 @@ TEST_F(BatchSerdeTest, TruncationsReturnStatus) {
   // decisions live; the long row/VO payload tail is sampled — a reader
   // trusting a count before the bytes exist fails at the region where
   // the count is consumed, not at one magic payload byte.
-  for (const auto* honest : {&honest_v1_, &honest_v2_}) {
+  for (const Wire& wire : Wires()) {
+    const std::vector<uint8_t>* honest = wire.honest;
     std::vector<size_t> lengths;
     for (size_t len = 0; len < std::min<size_t>(honest->size(), 768); ++len) {
       lengths.push_back(len);
@@ -104,7 +154,7 @@ TEST_F(BatchSerdeTest, TruncationsReturnStatus) {
     }
     for (size_t len : lengths) {
       std::vector<uint8_t> bytes(honest->begin(), honest->begin() + len);
-      Status s = Parse(bytes);
+      Status s = Parse(bytes, wire.sharded);
       EXPECT_FALSE(s.ok()) << "truncation to " << len << " parsed";
     }
   }
@@ -112,15 +162,16 @@ TEST_F(BatchSerdeTest, TruncationsReturnStatus) {
 
 TEST_F(BatchSerdeTest, RandomBitFlipsNeverCrash) {
   Rng rng(99);
-  for (const auto* honest : {&honest_v1_, &honest_v2_}) {
+  for (const Wire& wire : Wires()) {
     for (int trial = 0; trial < 500; ++trial) {
-      std::vector<uint8_t> bytes = *honest;
+      std::vector<uint8_t> bytes = *wire.honest;
       size_t k = 1 + rng.Uniform(4);
       for (size_t i = 0; i < k; ++i) {
         bytes[rng.Uniform(bytes.size())] ^=
             static_cast<uint8_t>(1 + rng.Uniform(255));
       }
-      (void)Parse(bytes);  // any Status is fine; crashing is the bug
+      // Any Status is fine; crashing is the bug.
+      (void)Parse(bytes, wire.sharded);
     }
   }
   SUCCEED();

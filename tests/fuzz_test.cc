@@ -105,6 +105,8 @@ TEST_P(WireFuzz, MutatedTreeSnapshotsNeverCrash) {
 }
 
 TEST_P(WireFuzz, MutatedQueriesNeverCrashEdge) {
+  // One edge holding an unsplit table "t" (answered on the direct v2
+  // wire) and a 3-shard table "s" (scattered on the edge, v3 wire).
   static std::unique_ptr<CentralServer> central = [] {
     CentralServer::Options opts;
     opts.tree_opts.config.max_internal = 8;
@@ -112,11 +114,13 @@ TEST_P(WireFuzz, MutatedQueriesNeverCrashEdge) {
     auto c = CentralServer::Create(opts);
     if (!c.ok()) return std::unique_ptr<CentralServer>();
     Schema schema = testutil::MakeWideSchema(4);
-    if (!(*c)->CreateTable("t", schema).ok()) {
+    if (!(*c)->CreateTable("t", schema).ok() ||
+        !(*c)->CreateTable("s", schema, {30, 60}).ok()) {
       return std::unique_ptr<CentralServer>();
     }
     Rng rng(1);
-    if (!(*c)->LoadTable("t", testutil::MakeRows(schema, 100, &rng)).ok()) {
+    if (!(*c)->LoadTable("t", testutil::MakeRows(schema, 100, &rng)).ok() ||
+        !(*c)->LoadTable("s", testutil::MakeRows(schema, 100, &rng)).ok()) {
       return std::unique_ptr<CentralServer>();
     }
     return c.MoveValueUnsafe();
@@ -124,25 +128,51 @@ TEST_P(WireFuzz, MutatedQueriesNeverCrashEdge) {
   ASSERT_NE(central, nullptr);
   static EdgeServer edge("fuzz-edge");
   static bool published = [&] {
-    return testutil::Publish(central.get(), "t", &edge, nullptr).ok();
+    if (!testutil::Publish(central.get(), "t", &edge, nullptr).ok()) {
+      return false;
+    }
+    auto map = central->TablePartitionMap("s");
+    if (!map.ok()) return false;
+    ByteWriter w;
+    map->Serialize(&w);
+    if (!edge.InstallPartitionMap(Slice(w.buffer())).ok()) return false;
+    for (size_t i = 0; i < map->shards.size(); ++i) {
+      if (!testutil::Publish(central.get(), map->shard_name(i), &edge, nullptr)
+               .ok()) {
+        return false;
+      }
+    }
+    return true;
   }();
   ASSERT_TRUE(published);
 
-  SelectQuery q;
-  q.table = "t";
-  q.range = KeyRange{10, 50};
-  ByteWriter w;
-  SerializeSelectQuery(q, &w);
-  std::vector<uint8_t> honest = w.TakeBuffer();
+  for (const char* table : {"t", "s"}) {
+    QueryBatch batch;
+    batch.table = table;
+    for (int i = 0; i < 3; ++i) {
+      SelectQuery q;
+      q.range = KeyRange{10 + 20 * i, 50 + 20 * i};
+      if (i == 1) q.projection = {0, 2};
+      if (i == 2) {
+        q.conditions.push_back(
+            ColumnCondition{1, CompareOp::kNe, Value::Str("x")});
+      }
+      batch.queries.push_back(std::move(q));
+    }
+    ByteWriter w;
+    SerializeQueryBatch(batch, &w);
+    std::vector<uint8_t> honest = w.TakeBuffer();
+    ASSERT_TRUE(edge.HandleQueryBatchBytes(Slice(honest)).ok()) << table;
 
-  Rng rng(6000 + GetParam());
-  for (int trial = 0; trial < 200; ++trial) {
-    std::vector<uint8_t> bytes = honest;
-    bytes[rng.Uniform(bytes.size())] ^=
-        static_cast<uint8_t>(1 + rng.Uniform(255));
-    if (rng.OneIn(4)) bytes.resize(rng.Uniform(bytes.size()) + 1);
-    // The edge must answer or reject gracefully, never crash.
-    (void)edge.HandleQueryBytes(Slice(bytes));
+    Rng rng(6000 + GetParam());
+    for (int trial = 0; trial < 200; ++trial) {
+      std::vector<uint8_t> bytes = honest;
+      bytes[rng.Uniform(bytes.size())] ^=
+          static_cast<uint8_t>(1 + rng.Uniform(255));
+      if (rng.OneIn(4)) bytes.resize(rng.Uniform(bytes.size()) + 1);
+      // The edge must answer or reject gracefully, never crash.
+      (void)edge.HandleQueryBatchBytes(Slice(bytes));
+    }
   }
   SUCCEED();
 }

@@ -211,6 +211,7 @@ TEST_F(PartitionMapTest, CentralSignsMapAndTamperedCopiesFailVerification) {
 
 TEST_F(PartitionMapTest, SpanningRangeVerifiesEndToEnd) {
   // Touches all 4 shards: per-shard VOs meet at the signed boundaries.
+  net_.Reset();
   auto result = client_->Query(edge1_.get(), RangeQuery(100, 900), 10, &net_);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->verification.ok()) << result->verification.ToString();
@@ -220,6 +221,10 @@ TEST_F(PartitionMapTest, SpanningRangeVerifiesEndToEnd) {
   for (size_t i = 0; i < result->rows.size(); ++i) {
     EXPECT_EQ(result->rows[i].key, static_cast<int64_t>(100 + i));
   }
+  // One round trip: the edge scatters the range, not the client.
+  EXPECT_EQ(net_.stats("client->edge:edge-1").messages, 1u);
+  EXPECT_EQ(net_.stats("edge:edge-1->client").messages, 1u);
+  EXPECT_GT(result->counters.recovers, 0u);
 }
 
 TEST_F(PartitionMapTest, EdgeRoutesSingleShardQueries) {
@@ -229,12 +234,6 @@ TEST_F(PartitionMapTest, EdgeRoutesSingleShardQueries) {
   EXPECT_TRUE(result->verification.ok()) << result->verification.ToString();
   EXPECT_EQ(result->rows.size(), 41u);
   EXPECT_EQ(result->shards_touched, 1u);
-
-  // Direct edge access: a spanning base-table query cannot be answered
-  // with a single VO — the edge demands a scatter.
-  auto direct = edge1_->HandleQuery(RangeQuery(100, 900));
-  EXPECT_FALSE(direct.ok());
-  EXPECT_TRUE(direct.status().IsInvalidArgument());
 }
 
 TEST_F(PartitionMapTest, BatchScatterGatherVerifies) {
@@ -380,6 +379,81 @@ TEST_F(PartitionMapTest, MapEpochGatesShardInstalls) {
   Status m = edge1_->InstallPartitionMap(Slice(w.buffer()));
   EXPECT_FALSE(m.ok());
   EXPECT_TRUE(m.IsInvalidArgument()) << m.ToString();
+}
+
+TEST(PartitionMapDirectWireTest, UnsplitShardedTableReportsLikeScatter) {
+  // An unsplit table registered as sharded: its 1-entry map names the
+  // plain table, so edges answer it on the direct (v2) wire. Edge B is
+  // cut off before a split and keeps the epoch-1 layout; edge A moves
+  // to the epoch-2 split layout and answers on the sharded (v3) wire.
+  CentralServer::Options opts;
+  opts.tree_opts.config.max_internal = 16;
+  opts.tree_opts.config.max_leaf = 16;
+  auto central = CentralServer::Create(opts);
+  ASSERT_TRUE(central.ok());
+  Schema schema = testutil::MakeWideSchema(6);
+  ASSERT_TRUE((*central)->CreateTable("events", schema, {}).ok());
+  Rng rng(77);
+  ASSERT_TRUE((*central)
+                  ->LoadTable("events", testutil::MakeRows(schema, kRows, &rng))
+                  .ok());
+  InProcessTransport net;
+  EdgeServer edge_a("edge-a"), edge_b("edge-b");
+  PropagationOptions popts;
+  popts.auto_start = false;
+  DistributionHub hub(central->get(), &net, popts);
+  ASSERT_TRUE(hub.Subscribe(&edge_a).ok());
+  ASSERT_TRUE(hub.Subscribe(&edge_b).ok());
+  ASSERT_TRUE(hub.SyncAll().ok());
+
+  Client client((*central)->db_name(), (*central)->key_directory());
+  client.RegisterShardedTable("events", schema);
+  QueryService service_a(&edge_a, QueryServiceOptions{1, 16});
+  QueryService service_b(&edge_b, QueryServiceOptions{1, 16});
+  QueryBatch batch;
+  batch.table = "events";
+  for (int i = 0; i < 3; ++i) {
+    SelectQuery q;
+    q.range = KeyRange{i * 300, i * 300 + 200};
+    batch.queries.push_back(std::move(q));
+  }
+
+  // Unsplit: the direct wire stamps the verified map's epoch per result.
+  auto unsplit = client.QueryBatched(&service_b, batch, 10, nullptr, &net);
+  ASSERT_TRUE(unsplit.ok()) << unsplit.status().ToString();
+  EXPECT_EQ(unsplit->map_epoch, 1u);
+  for (const auto& v : unsplit->results) {
+    EXPECT_TRUE(v.verification.ok()) << v.verification.ToString();
+    EXPECT_EQ(v.map_epoch, 1u);
+  }
+
+  ASSERT_TRUE(hub.Unsubscribe("edge-b").ok());
+  ASSERT_TRUE((*central)->SplitShard("events", 500).ok());
+  ASSERT_TRUE(hub.SyncAll().ok());
+  auto split = client.QueryBatched(&service_a, batch, 10, nullptr, &net);
+  ASSERT_TRUE(split.ok()) << split.status().ToString();
+  EXPECT_EQ(split->map_epoch, 2u);
+  for (const auto& v : split->results) {
+    EXPECT_TRUE(v.verification.ok()) << v.verification.ToString();
+  }
+
+  // Edge B's epoch-1 map is now below this client's floor: an
+  // authentication failure on every slot, not a transport error.
+  auto stale = client.QueryBatched(&service_b, batch, 10, nullptr, &net);
+  ASSERT_TRUE(stale.ok()) << stale.status().ToString();
+  ASSERT_EQ(stale->results.size(), batch.queries.size());
+  for (const auto& v : stale->results) {
+    EXPECT_TRUE(v.verification.IsVerificationFailure())
+        << v.verification.ToString();
+  }
+  // Client::Query rides the same path and reports the same way.
+  SelectQuery one;
+  one.table = "events";
+  one.range = KeyRange{10, 20};
+  auto single = client.Query(&edge_b, one, 10, &net);
+  ASSERT_TRUE(single.ok()) << single.status().ToString();
+  EXPECT_TRUE(single->verification.IsVerificationFailure())
+      << single->verification.ToString();
 }
 
 TEST_F(PartitionMapTest, PerShardDeltasShipIndependently) {

@@ -70,11 +70,16 @@ TEST(QuerySerdeTest, SelectQueryRoundTrip) {
   q.conditions.push_back(ColumnCondition{3, CompareOp::kLt, Value::Int(7)});
   q.projection = {0, 2, 3};
 
+  QueryBatch batch;
+  batch.table = "orders";
+  batch.queries = {q};
   ByteWriter w;
-  SerializeSelectQuery(q, &w);
+  SerializeQueryBatch(batch, &w);
   ByteReader r(Slice(w.buffer()));
-  auto back = DeserializeSelectQuery(&r);
-  ASSERT_TRUE(back.ok());
+  auto decoded = DeserializeQueryBatch(&r);
+  ASSERT_TRUE(decoded.ok());
+  ASSERT_EQ(decoded->queries.size(), 1u);
+  const SelectQuery* back = &decoded->queries[0];
   EXPECT_EQ(back->table, "orders");
   EXPECT_EQ(back->range.lo, -5);
   EXPECT_EQ(back->range.hi, 999);

@@ -138,6 +138,17 @@ class QueryServiceTest : public ::testing::Test {
     return batch;
   }
 
+  /// Submits `q` as a one-query batch through the service's wire path.
+  static std::future<Result<std::vector<uint8_t>>> SubmitOne(
+      QueryService* service, const SelectQuery& q) {
+    QueryBatch batch;
+    batch.table = q.table;
+    batch.queries = {q};
+    ByteWriter w;
+    SerializeQueryBatch(batch, &w);
+    return service->SubmitBatchBytes(w.TakeBuffer());
+  }
+
   Schema schema_;
   InProcessTransport net_;
   std::unique_ptr<CentralServer> central_;
@@ -154,8 +165,12 @@ TEST_F(QueryServiceTest, BatchAnswersMatchSerialExecutionRowForRow) {
       << "overlapping envelopes should share tuple fetches";
 
   for (size_t i = 0; i < batch.queries.size(); ++i) {
-    auto serial = edge_->HandleQuery(batch.queries[i]);
-    ASSERT_TRUE(serial.ok());
+    QueryBatch one;
+    one.table = batch.table;
+    one.queries = {batch.queries[i]};
+    auto serial_batch = edge_->HandleQueryBatch(one);
+    ASSERT_TRUE(serial_batch.ok());
+    const QueryResponse* serial = &serial_batch->responses[0];
     const QueryResponse& b = batched->responses[i];
     ASSERT_EQ(b.rows.size(), serial->rows.size()) << "query " << i;
     for (size_t r = 0; r < b.rows.size(); ++r) {
@@ -192,11 +207,15 @@ TEST_F(QueryServiceTest, BatchedAnswersVerifyThroughService) {
 
 TEST_F(QueryServiceTest, SingleQuerySubmissionVerifies) {
   QueryService service(edge_.get(), QueryServiceOptions{2, 64});
-  auto resp = service.Execute(RangeQuery(10, 40));
+  auto resp = SubmitOne(&service, RangeQuery(10, 40)).get();
   ASSERT_TRUE(resp.ok());
-  EXPECT_EQ(resp->rows.size(), 31u);
+  ByteReader r((Slice(*resp)));
+  auto decoded =
+      DeserializeQueryBatchResponse(&r, schema_, {RangeQuery(10, 40)});
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->responses[0].rows.size(), 31u);
   QueryService::Stats stats = service.stats();
-  EXPECT_EQ(stats.queries, 1u);
+  EXPECT_EQ(stats.batched_queries, 1u);
   EXPECT_GT(stats.vo_bytes_total, 0u);
 }
 
@@ -266,17 +285,17 @@ TEST_F(QueryServiceTest, RejectBackpressureSurfacesToSubmitters) {
   opts.modeled_io_stall_us = 100000;  // pin the worker for 100ms
   QueryService service(edge_.get(), opts);
 
-  std::vector<std::future<Result<QueryResponse>>> futures;
-  futures.push_back(service.Submit(RangeQuery(0, 10)));
+  std::vector<std::future<Result<std::vector<uint8_t>>>> futures;
+  futures.push_back(SubmitOne(&service, RangeQuery(0, 10)));
   // Wait until the worker has dequeued the first query (it then stalls
   // for 100ms), so the remaining submissions race only the queue slot.
   while (service.queue_depth() > 0) std::this_thread::yield();
   for (int i = 0; i < 5; ++i) {
-    futures.push_back(service.Submit(RangeQuery(0, 10)));
+    futures.push_back(SubmitOne(&service, RangeQuery(0, 10)));
   }
   size_t ok = 0, rejected = 0;
   for (auto& f : futures) {
-    Result<QueryResponse> r = f.get();
+    Result<std::vector<uint8_t>> r = f.get();
     if (r.ok()) {
       ok++;
     } else {
@@ -289,6 +308,7 @@ TEST_F(QueryServiceTest, RejectBackpressureSurfacesToSubmitters) {
   EXPECT_EQ(ok, 2u);
   EXPECT_EQ(rejected, 4u);
   EXPECT_EQ(service.stats().rejected, rejected);
+  EXPECT_EQ(service.stats().batched_queries, ok);
 }
 
 TEST_F(QueryServiceTest, BlockBackpressureAcceptsEverything) {
@@ -297,15 +317,15 @@ TEST_F(QueryServiceTest, BlockBackpressureAcceptsEverything) {
   opts.queue_capacity = 2;
   opts.overflow = OverflowPolicy::kBlock;
   QueryService service(edge_.get(), opts);
-  std::vector<std::future<Result<QueryResponse>>> futures;
+  std::vector<std::future<Result<std::vector<uint8_t>>>> futures;
   for (int i = 0; i < 32; ++i) {
-    futures.push_back(service.Submit(RangeQuery(i * 10, i * 10 + 20)));
+    futures.push_back(SubmitOne(&service, RangeQuery(i * 10, i * 10 + 20)));
   }
   for (auto& f : futures) {
-    Result<QueryResponse> r = f.get();
+    Result<std::vector<uint8_t>> r = f.get();
     ASSERT_TRUE(r.ok()) << r.status().ToString();
   }
-  EXPECT_EQ(service.stats().queries, 32u);
+  EXPECT_EQ(service.stats().batched_queries, 32u);
   EXPECT_EQ(service.stats().rejected, 0u);
 }
 
@@ -464,7 +484,7 @@ TEST_F(QueryServiceTest, PooledWireCutsVOBytesOnOverlappingRanges) {
   ASSERT_TRUE(resp.ok());
 
   ByteWriter w(1 << 12);
-  SerializeQueryBatchResponse(*resp, &w, BatchWire::kV2);
+  SerializeQueryBatchResponse(*resp, &w);
   ByteReader r((Slice(w.buffer())));
   auto wire = DeserializeQueryBatchResponse(&r, schema_, batch.queries);
   ASSERT_TRUE(wire.ok()) << wire.status().ToString();
@@ -491,28 +511,25 @@ TEST_F(QueryServiceTest, PooledWireCutsVOBytesOnOverlappingRanges) {
   }
 }
 
-TEST_F(QueryServiceTest, LegacyWireV1RoundTripsAndMatchesV2Answers) {
+TEST_F(QueryServiceTest, V2WireVOsMatchInProcessVOs) {
   QueryBatch batch = HotRangeBatch();
   for (SelectQuery& q : batch.queries) q.NormalizeProjection();
   auto direct = edge_->HandleQueryBatch(batch);
   ASSERT_TRUE(direct.ok());
 
-  ByteWriter v1(1 << 12), v2(1 << 12);
-  SerializeQueryBatchResponse(*direct, &v1, BatchWire::kV1);
-  SerializeQueryBatchResponse(*direct, &v2, BatchWire::kV2);
-
-  ByteReader r1((Slice(v1.buffer())));
-  auto from_v1 = DeserializeQueryBatchResponse(&r1, schema_, batch.queries);
-  ASSERT_TRUE(from_v1.ok()) << from_v1.status().ToString();
+  ByteWriter v2(1 << 12);
+  SerializeQueryBatchResponse(*direct, &v2);
   ByteReader r2((Slice(v2.buffer())));
   auto from_v2 = DeserializeQueryBatchResponse(&r2, schema_, batch.queries);
   ASSERT_TRUE(from_v2.ok()) << from_v2.status().ToString();
 
-  // Same answers and same VOs through either framing; only the bytes on
-  // the wire differ (the overlapping batch interns shared signatures).
-  ASSERT_EQ(from_v1->responses.size(), from_v2->responses.size());
-  for (size_t i = 0; i < from_v1->responses.size(); ++i) {
-    const QueryResponse& a = from_v1->responses[i];
+  // Same answers and same VOs as built in-process: the pooled framing
+  // changes only the bytes on the wire, never a VO's self-contained
+  // encoding (the overlapping batch interns shared signatures).
+  ASSERT_EQ(direct->responses.size(), from_v2->responses.size());
+  size_t self_contained_bytes = 0;
+  for (size_t i = 0; i < direct->responses.size(); ++i) {
+    const QueryResponse& a = direct->responses[i];
     const QueryResponse& b = from_v2->responses[i];
     ASSERT_EQ(a.rows.size(), b.rows.size());
     for (size_t r = 0; r < a.rows.size(); ++r) {
@@ -523,8 +540,10 @@ TEST_F(QueryServiceTest, LegacyWireV1RoundTripsAndMatchesV2Answers) {
     a.vo.Serialize(&wa);
     b.vo.Serialize(&wb);
     EXPECT_EQ(wa.buffer(), wb.buffer()) << "VO " << i << " diverged";
+    self_contained_bytes += wa.size();
   }
-  EXPECT_LT(v2.size(), v1.size()) << "pooled framing must shrink the batch";
+  EXPECT_LT(from_v2->stats.vo_wire_bytes, self_contained_bytes)
+      << "pooled framing must undercut the self-contained VOs";
 }
 
 TEST_F(QueryServiceTest, ResponseCountMismatchIsCorruptionNotOutOfBounds) {
@@ -537,35 +556,33 @@ TEST_F(QueryServiceTest, ResponseCountMismatchIsCorruptionNotOutOfBounds) {
   auto resp = edge_->HandleQueryBatch(batch);
   ASSERT_TRUE(resp.ok());
 
-  for (BatchWire wire : {BatchWire::kV1, BatchWire::kV2}) {
-    // Too few: drop the last response before serializing.
-    QueryBatchResponse fewer;
-    fewer.replica_version = resp->replica_version;
-    fewer.stats = resp->stats;
-    for (size_t i = 0; i + 1 < resp->responses.size(); ++i) {
-      QueryResponse qr;
-      qr.status = resp->responses[i].status;
-      qr.rows = resp->responses[i].rows;
-      qr.vo = resp->responses[i].vo.Clone();
-      fewer.responses.push_back(std::move(qr));
-    }
-    ByteWriter w;
-    SerializeQueryBatchResponse(fewer, &w, wire);
-    ByteReader r((Slice(w.buffer())));
-    auto out = DeserializeQueryBatchResponse(&r, schema_, batch.queries);
-    ASSERT_FALSE(out.ok());
-    EXPECT_TRUE(out.status().IsCorruption()) << out.status().ToString();
-
-    // Too many: deserialize against a shorter query list.
-    std::vector<SelectQuery> shorter(batch.queries.begin(),
-                                     batch.queries.end() - 1);
-    ByteWriter w2;
-    SerializeQueryBatchResponse(*resp, &w2, wire);
-    ByteReader r2((Slice(w2.buffer())));
-    auto out2 = DeserializeQueryBatchResponse(&r2, schema_, shorter);
-    ASSERT_FALSE(out2.ok());
-    EXPECT_TRUE(out2.status().IsCorruption()) << out2.status().ToString();
+  // Too few: drop the last response before serializing.
+  QueryBatchResponse fewer;
+  fewer.replica_version = resp->replica_version;
+  fewer.stats = resp->stats;
+  for (size_t i = 0; i + 1 < resp->responses.size(); ++i) {
+    QueryResponse qr;
+    qr.status = resp->responses[i].status;
+    qr.rows = resp->responses[i].rows;
+    qr.vo = resp->responses[i].vo.Clone();
+    fewer.responses.push_back(std::move(qr));
   }
+  ByteWriter w;
+  SerializeQueryBatchResponse(fewer, &w);
+  ByteReader r((Slice(w.buffer())));
+  auto out = DeserializeQueryBatchResponse(&r, schema_, batch.queries);
+  ASSERT_FALSE(out.ok());
+  EXPECT_TRUE(out.status().IsCorruption()) << out.status().ToString();
+
+  // Too many: deserialize against a shorter query list.
+  std::vector<SelectQuery> shorter(batch.queries.begin(),
+                                   batch.queries.end() - 1);
+  ByteWriter w2;
+  SerializeQueryBatchResponse(*resp, &w2);
+  ByteReader r2((Slice(w2.buffer())));
+  auto out2 = DeserializeQueryBatchResponse(&r2, schema_, shorter);
+  ASSERT_FALSE(out2.ok());
+  EXPECT_TRUE(out2.status().IsCorruption()) << out2.status().ToString();
 }
 
 TEST_F(QueryServiceTest, BatchWithOneInvalidQueryStillAuthenticatesRest) {
@@ -667,7 +684,7 @@ TEST_F(QueryServiceTest, TamperedPooledSignatureStillDetected) {
   ASSERT_TRUE(resp.ok());
 
   ByteWriter w(1 << 12);
-  SerializeQueryBatchResponse(*resp, &w, BatchWire::kV2);
+  SerializeQueryBatchResponse(*resp, &w);
   std::vector<uint8_t> honest = w.TakeBuffer();
 
   DigestSchema ds(central_->db_name(), "items", schema_,

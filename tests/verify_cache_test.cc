@@ -436,8 +436,12 @@ TEST_F(VerifyCacheSoundnessTest, BitFlippedSignatureMissesWarmCacheAndFails) {
   // signature; every variant must fail against the warm cache, and the
   // flipped bytes must not hit any cached digest.
   SelectQuery q = HotBatch().queries[0];
-  auto honest = edge_->HandleQuery(q);
-  ASSERT_TRUE(honest.ok());
+  QueryBatch one;
+  one.table = q.table;
+  one.queries = {q};
+  auto honest_batch = edge_->HandleQueryBatch(one);
+  ASSERT_TRUE(honest_batch.ok());
+  const QueryResponse* honest = &honest_batch->responses[0];
 
   auto verify_with_warm_cache = [&](const VerificationObject& vo) {
     auto rec = central_->key_directory()->RecovererFor(vo.key_version, 10);
@@ -479,8 +483,12 @@ TEST_F(VerifyCacheSoundnessTest, SwappedPoolIndexFailsVerification) {
   // every byte string in the pool is individually authentic (and may
   // individually be cache-hot).
   SelectQuery q = HotBatch().queries[0];
-  auto honest = edge_->HandleQuery(q);
-  ASSERT_TRUE(honest.ok());
+  QueryBatch one;
+  one.table = q.table;
+  one.queries = {q};
+  auto honest_batch = edge_->HandleQueryBatch(one);
+  ASSERT_TRUE(honest_batch.ok());
+  const QueryResponse* honest = &honest_batch->responses[0];
 
   SignaturePool pool;
   ByteWriter body;
