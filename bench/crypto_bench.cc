@@ -126,17 +126,6 @@ int main(int argc, char** argv) {
                     (void)hit;
                   })});
   }
-  {
-    // CachingRecoverer end-to-end on an all-hot working set: the Recover
-    // call sites' steady-state cost under the Zipf workload.
-    CachingRecoverer caching(&recoverer, &cache, 1);
-    size_t i = 0;
-    ms.push_back({"caching_recover_hot",
-                  NsPerOp([&] {
-                    auto d = caching.Recover(sigs[i++ % kSigs]);
-                    (void)d;
-                  })});
-  }
 
   {
     // The cold path: a lookup miss, the recovery it forces, then an

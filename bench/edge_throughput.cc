@@ -424,7 +424,7 @@ RunResult RunOnce(CentralServer* central, DistributionHub* hub,
             tally.queries += nb.queries.size();
             for (const auto& g : out->groups) {
               for (const auto& qr : g.resp.responses) {
-                tally.rows += qr.rows.size();
+                tally.rows += qr.rows().size();
               }
             }
           } else {
@@ -433,7 +433,9 @@ RunResult RunOnce(CentralServer* central, DistributionHub* hub,
             tally.latencies_us.push_back(us);
             tally.batches++;
             tally.queries += out->responses.size();
-            for (const auto& qr : out->responses) tally.rows += qr.rows.size();
+            for (const auto& qr : out->responses) {
+              tally.rows += qr.rows().size();
+            }
           }
         }
       }

@@ -201,15 +201,4 @@ RecoveredDigestCache::Stats RecoveredDigestCache::stats() const {
   return s;
 }
 
-Result<Digest> CachingRecoverer::Recover(const Signature& sig) {
-  Digest d;
-  if (cache_ != nullptr && cache_->Lookup(domain_, sig, &d, counters_)) {
-    return d;
-  }
-  if (counters_ != nullptr) CryptoCounters::Tick(counters_->recovers);
-  VBT_ASSIGN_OR_RETURN(d, inner_->Recover(sig));
-  if (cache_ != nullptr) cache_->Insert(domain_, sig, d, counters_);
-  return d;
-}
-
 }  // namespace vbtree

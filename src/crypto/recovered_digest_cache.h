@@ -170,31 +170,6 @@ class RecoveredDigestCache {
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 
-/// Recoverer decorator that consults a RecoveredDigestCache before
-/// falling through to the wrapped Recoverer, inserting on miss. Gives
-/// single-verifier call sites the same cross-call memoization the
-/// BatchVerifier's pool phase uses, without changing their Verifier
-/// wiring.
-class CachingRecoverer : public Recoverer {
- public:
-  /// @param domain the signing-key version the signatures resolve under.
-  CachingRecoverer(Recoverer* inner, RecoveredDigestCache* cache,
-                   uint64_t domain, CryptoCounters* counters = nullptr)
-      : inner_(inner), cache_(cache), domain_(domain), counters_(counters) {}
-
-  Result<Digest> Recover(const Signature& sig) override;
-
-  size_t signature_length() const override {
-    return inner_->signature_length();
-  }
-
- private:
-  Recoverer* inner_;
-  RecoveredDigestCache* cache_;  ///< may be null (pass-through)
-  uint64_t domain_;
-  CryptoCounters* counters_;
-};
-
 }  // namespace vbtree
 
 #endif  // VBTREE_CRYPTO_RECOVERED_DIGEST_CACHE_H_

@@ -215,8 +215,8 @@ Client::GroupOutcome Client::VerifyBatchGroup(
       v.verification = qr.status;
       continue;
     }
-    v.vo_digests = qr.vo.DigestCount();
-    uint32_t kv = qr.vo.key_version;
+    v.vo_digests = qr.vo().DigestCount();
+    uint32_t kv = qr.vo().key_version;
     auto rec_it = recoverers.find(kv);
     if (rec_it == recoverers.end()) {
       rec_it = recoverers.emplace(kv, keys_->RecovererFor(kv, now)).first;
@@ -225,13 +225,14 @@ Client::GroupOutcome Client::VerifyBatchGroup(
       v.verification = rec_it->second.status();
       continue;
     }
-    BatchVerifier::Job job{&queries[i], &qr.rows, &qr.vo, nullptr, binding};
+    BatchVerifier::Job job{&queries[i], &qr.rows(), &qr.vo(), nullptr,
+                           binding};
     if (fast_path) {
       // Batches at one watermark pay each distinct signed-top recovery
       // once: byte-identical tops already recovered at this (shard,
       // replica_version, key_version) come from the memo.
       job.known_top = top_memo_.Lookup(schema_table, resp.replica_version, kv,
-                                       qr.vo.signed_top);
+                                       qr.vo().signed_top);
       if (job.known_top != nullptr) out.top_memo_hits++;
     }
     jobs.push_back(job);
@@ -248,7 +249,7 @@ Client::GroupOutcome Client::VerifyBatchGroup(
     BatchVerifier* bv = verifier != nullptr ? verifier : &inline_verifier;
     std::map<uint32_t, std::vector<size_t>> by_version;
     for (size_t j = 0; j < jobs.size(); ++j) {
-      by_version[resp.responses[job_index[j]].vo.key_version].push_back(j);
+      by_version[resp.responses[job_index[j]].vo().key_version].push_back(j);
     }
     outcomes.resize(jobs.size());
     // The whole-pool recovery phase runs for the dominant key version
@@ -287,15 +288,15 @@ Client::GroupOutcome Client::VerifyBatchGroup(
       out.crypto.Add(outcomes[j].counters);
       if (fast_path && v.verification.ok() && outcomes[j].top_recovered) {
         top_memo_.Insert(schema_table, resp.replica_version,
-                         resp.responses[job_index[j]].vo.key_version,
-                         resp.responses[job_index[j]].vo.signed_top,
+                         resp.responses[job_index[j]].vo().key_version,
+                         resp.responses[job_index[j]].vo().signed_top,
                          outcomes[j].top_digest);
       }
     }
   }
 
   for (size_t i = 0; i < resp.responses.size(); ++i) {
-    out.results[i].rows = std::move(resp.responses[i].rows);
+    out.results[i].rows = resp.responses[i].TakeRows();
   }
 
   // --- replica freshness: one version served the whole group, and only
@@ -346,10 +347,10 @@ Client::GroupOutcome Client::DeferBatchGroup(
       v.verification = qr.status;
       continue;
     }
-    v.vo_digests = qr.vo.DigestCount();
+    v.vo_digests = qr.vo().DigestCount();
     // The caller gets a copy; the ticket keeps the delivered originals
     // so the audit checks precisely what the application consumed.
-    v.rows = qr.rows;
+    v.rows = qr.rows();
     v.pending_audit = true;
     v.stale_replica = stale;
     out.deferred++;
@@ -515,7 +516,7 @@ Result<Client::VerifiedBatch> Client::ServeBatch(EdgeServer* edge,
         // with the failure on every slot and an OK outer status.
         out.results.resize(resp.responses.size());
         for (size_t i = 0; i < resp.responses.size(); ++i) {
-          out.results[i].rows = std::move(resp.responses[i].rows);
+          out.results[i].rows = resp.responses[i].TakeRows();
           out.results[i].verification = map_or.status();
         }
         return out;
@@ -577,9 +578,9 @@ Result<Client::VerifiedBatch> Client::ServeBatch(EdgeServer* edge,
       auto& responses = decoded.groups[g].resp.responses;
       for (size_t s = 0; s < slices.size() && s < responses.size(); ++s) {
         Verified& v = out.results[slices[s].query_index];
-        v.rows.insert(v.rows.end(),
-                      std::make_move_iterator(responses[s].rows.begin()),
-                      std::make_move_iterator(responses[s].rows.end()));
+        std::vector<ResultRow> rows = responses[s].TakeRows();
+        v.rows.insert(v.rows.end(), std::make_move_iterator(rows.begin()),
+                      std::make_move_iterator(rows.end()));
       }
     }
     for (Verified& v : out.results) v.verification = map_or.status();

@@ -1,6 +1,7 @@
 #include "edge/edge_server.h"
 
 #include <chrono>
+#include <utility>
 
 #include "edge/propagation/update_log.h"
 #include "query/query_serde.h"
@@ -116,7 +117,16 @@ Status EdgeServer::InstallPartitionMap(Slice map_bytes) {
     const std::string table = map.table;
     maps_[table] = InstalledMap{std::move(map), std::move(bytes)};
   }
-  for (const std::string& name : dropped) VOCacheFlush(name);
+  // Retired replicas take their caches with them (freed after unlocking).
+  std::vector<VOCache> gone;
+  {
+    std::lock_guard guard(vo_cache_mu_);
+    for (const std::string& name : dropped) {
+      if (auto node = vo_caches_.extract(name)) {
+        gone.push_back(std::move(node.mapped()));
+      }
+    }
+  }
   return Status::OK();
 }
 
@@ -206,45 +216,44 @@ uint64_t EdgeServer::TableVersion(const std::string& table) const {
   return it == tables_.end() ? 0 : it->second->tree->version();
 }
 
-std::shared_ptr<const EdgeServer::CachedQuery> EdgeServer::MakeCachedQuery(
-    QueryOutput out) {
-  auto entry = std::make_shared<CachedQuery>();
-  entry->out = std::move(out);
-  for (const ResultRow& row : entry->out.rows) {
-    entry->result_bytes += row.SerializedSize();
-  }
-  entry->vo_bytes = entry->out.vo.SerializedSize();
-  return entry;
+const std::vector<ResultRow>& QueryResponse::rows() const {
+  static const std::vector<ResultRow> kNoRows;
+  return answer == nullptr ? kNoRows : answer->rows;
 }
 
-QueryResponse EdgeServer::ResponseFromCached(const CachedQuery& entry,
-                                             uint64_t replica_version) const {
+const VerificationObject& QueryResponse::vo() const {
+  static const VerificationObject kNoVO;
+  return answer == nullptr ? kNoVO : answer->vo;
+}
+
+std::vector<ResultRow> QueryResponse::TakeRows() {
+  if (answer == nullptr) return {};
+  if (answer.use_count() > 1) return answer->rows;
+  // Sole holder: nothing else can observe the answer. It was allocated
+  // non-const (by the decoder or the edge), so moving out of it is well
+  // defined; its rows are left empty.
+  auto& rows = const_cast<QueryOutput&>(*answer).rows;
+  std::vector<ResultRow> taken = std::move(rows);
+  rows.clear();
+  return taken;
+}
+
+QueryResponse EdgeServer::AnswerFrom(QueryOutput out) {
   QueryResponse resp;
-  resp.rows = entry.out.rows;
-  resp.vo = entry.out.vo.Clone();
-  resp.replica_version = replica_version;
-  // Tamper modes touch rows only, so the memoized VO size always holds;
-  // row bytes are recomputed only when a tamper hook actually ran.
-  resp.vo_bytes = entry.vo_bytes;
-  if (response_tamper_ == ResponseTamper::kNone ||
-      response_tamper_ == ResponseTamper::kDropShardGroup) {
-    resp.result_bytes = entry.result_bytes;
-  } else {
-    ApplyResponseTamper(&resp);
-    for (const ResultRow& row : resp.rows) {
-      resp.result_bytes += row.SerializedSize();
-    }
-  }
+  resp.result_bytes = out.ResultBytes();
+  resp.vo_bytes = out.vo.SerializedSize();
+  resp.answer = std::make_shared<const QueryOutput>(std::move(out));
   return resp;
 }
 
-void EdgeServer::VOCacheLookupBatch(
-    const std::string& table, const std::vector<std::string>& keys,
-    uint64_t version,
-    std::vector<std::shared_ptr<const CachedQuery>>* results) const {
-  results->assign(keys.size(), nullptr);
+void EdgeServer::VOCacheLookupBatch(const std::string& table,
+                                    const std::vector<std::string>& keys,
+                                    uint64_t version,
+                                    std::vector<QueryResponse>* results) const {
+  VOCacheEntries retired;  // freed after the guard releases the mutex
   std::lock_guard guard(vo_cache_mu_);
   VOCache& cache = vo_caches_[table];
+  retired.swap(cache.retired);
   if (cache.version != version) {
     cache.misses += keys.size();
     return;
@@ -262,28 +271,38 @@ void EdgeServer::VOCacheLookupBatch(
 
 void EdgeServer::VOCacheInsertBatch(
     const std::string& table, uint64_t version,
-    std::vector<std::pair<std::string, std::shared_ptr<const CachedQuery>>>
-        entries) const {
+    std::vector<std::pair<std::string, QueryResponse>> entries) const {
   if (entries.empty()) return;
+  // Dropped entries are destroyed after the mutex is released (declared
+  // before the guard): freeing up to kVOCacheMaxEntries answers must not
+  // stall the other workers' lookups.
+  std::vector<VOCacheEntries> dropped;
   std::lock_guard guard(vo_cache_mu_);
   VOCache& cache = vo_caches_[table];
   if (cache.version != version) {
     // First entries at a new version (or a racing stale insert): the map
     // only ever holds entries of ONE version.
-    cache.entries.clear();
+    dropped.push_back(std::exchange(cache.entries, {}));
     cache.version = version;
   }
   for (auto& [key, entry] : entries) {
-    if (cache.entries.size() >= kVOCacheMaxEntries) cache.entries.clear();
+    if (cache.entries.size() >= kVOCacheMaxEntries) {
+      dropped.push_back(std::exchange(cache.entries, {}));
+    }
     cache.entries.insert_or_assign(key, std::move(entry));
   }
 }
 
 void EdgeServer::VOCacheFlush(const std::string& table) const {
+  // The flushing install thread only swaps the entries out: the next
+  // lookup on this table frees them, so delta replay (and with it
+  // freshness) never waits on freeing up to kVOCacheMaxEntries answers.
+  VOCacheEntries older;  // a retired set no lookup freed yet
   std::lock_guard guard(vo_cache_mu_);
   auto it = vo_caches_.find(table);
   if (it == vo_caches_.end()) return;
-  it->second.entries.clear();
+  older.swap(it->second.retired);
+  it->second.retired.swap(it->second.entries);
   it->second.invalidations++;
 }
 
@@ -297,27 +316,40 @@ EdgeServer::VOCacheStats EdgeServer::vo_cache_stats(
 }
 
 void EdgeServer::ApplyResponseTamper(QueryResponse* resp) const {
+  if (response_tamper_ == ResponseTamper::kNone ||
+      response_tamper_ == ResponseTamper::kDropShardGroup ||
+      resp->answer == nullptr) {
+    return;
+  }
+  // The answer is shared with the VO cache and concurrent responses:
+  // corrupt a private copy, never the shared answer.
+  auto copy = std::make_shared<QueryOutput>();
+  copy->rows = resp->answer->rows;
+  copy->vo = resp->answer->vo.Clone();
+  std::vector<ResultRow>& rows = copy->rows;
   switch (response_tamper_) {
-    case ResponseTamper::kNone:
-    case ResponseTamper::kDropShardGroup:
-      return;
     case ResponseTamper::kModifyValue:
-      if (!resp->rows.empty() && resp->rows[0].values.size() > 1) {
-        resp->rows[0].values[1] = Value::Str("__tampered__");
+      if (!rows.empty() && rows[0].values.size() > 1) {
+        rows[0].values[1] = Value::Str("__tampered__");
       }
-      return;
+      break;
     case ResponseTamper::kInjectRow:
-      if (!resp->rows.empty()) {
-        ResultRow fake = resp->rows.back();
+      if (!rows.empty()) {
+        ResultRow fake = rows.back();
         fake.key += 1;
         fake.values[0] = Value::Int(fake.key);
-        resp->rows.push_back(std::move(fake));
+        rows.push_back(std::move(fake));
       }
-      return;
+      break;
     case ResponseTamper::kDropRow:
-      if (!resp->rows.empty()) resp->rows.pop_back();
-      return;
+      if (!rows.empty()) rows.pop_back();
+      break;
+    default:
+      break;
   }
+  // Tamper modes touch rows only, so the VO size still holds.
+  resp->result_bytes = copy->ResultBytes();
+  resp->answer = std::move(copy);
 }
 
 Result<QueryBatchResponse> EdgeServer::ExecuteBatchOnReplica(
@@ -332,21 +364,22 @@ Result<QueryBatchResponse> EdgeServer::ExecuteBatchOnReplica(
   // coalesced response always reflects ONE tree version.
   const size_t n = queries.size();
   const uint64_t v0 = replica.tree->version();
+  QueryBatchResponse resp;
+  resp.responses.resize(n);
   std::vector<std::string> cache_keys(n);
-  std::vector<std::shared_ptr<const CachedQuery>> cached(n, nullptr);
-  uint64_t cache_hits = 0;
-  std::vector<SelectQuery> miss_queries;
-  std::vector<size_t> miss_index;
   if (!bypass_vo_cache) {
     for (size_t i = 0; i < n; ++i) {
       SelectQuery norm = queries[i];
       norm.NormalizeProjection();
       cache_keys[i] = VOCacheKey(norm);
     }
-    VOCacheLookupBatch(table, cache_keys, v0, &cached);
+    VOCacheLookupBatch(table, cache_keys, v0, &resp.responses);
   }
+  uint64_t cache_hits = 0;
+  std::vector<SelectQuery> miss_queries;
+  std::vector<size_t> miss_index;
   for (size_t i = 0; i < n; ++i) {
-    if (cached[i] != nullptr) {
+    if (resp.responses[i].answer != nullptr) {
       cache_hits++;
     } else {
       miss_queries.push_back(queries[i]);
@@ -369,7 +402,7 @@ Result<QueryBatchResponse> EdgeServer::ExecuteBatchOnReplica(
       // versions. Drop the hits and re-execute the full batch at one
       // label — rare (requires a mid-batch commit), and the re-run's
       // work is counted in the stats like any other execution.
-      cached.assign(n, nullptr);
+      resp.responses.assign(n, QueryResponse{});
       cache_hits = 0;
       miss_queries.assign(queries.begin(), queries.end());
       miss_index.resize(n);
@@ -386,42 +419,28 @@ Result<QueryBatchResponse> EdgeServer::ExecuteBatchOnReplica(
       label = rerun_stats.read_version;
     }
   }
-  std::vector<std::pair<std::string, std::shared_ptr<const CachedQuery>>>
-      inserts;
+  std::vector<std::pair<std::string, QueryResponse>> inserts;
   inserts.reserve(miss_outs.size());
   for (size_t m = 0; m < miss_outs.size(); ++m) {
-    // Only honest, successful outputs are worth memoizing; failed slots
-    // are cheap to recompute and carry no proof.
-    if (miss_outs[m].status.ok()) {
-      auto owned = MakeCachedQuery(std::move(miss_outs[m]));
-      cached[miss_index[m]] = owned;
-      if (!bypass_vo_cache) {
-        inserts.emplace_back(cache_keys[miss_index[m]], owned);
-      }
+    QueryResponse& r = resp.responses[miss_index[m]];
+    if (!miss_outs[m].status.ok()) {
+      // A failed slot carries its status and ships no rows/VO. Only
+      // honest, successful outputs are worth memoizing; failed slots are
+      // cheap to recompute and carry no proof.
+      r.status = miss_outs[m].status;
+      continue;
     }
+    r = AnswerFrom(std::move(miss_outs[m]));
+    if (!bypass_vo_cache) inserts.emplace_back(cache_keys[miss_index[m]], r);
   }
   VOCacheInsertBatch(table, label, std::move(inserts));
 
-  QueryBatchResponse resp;
   resp.replica_version = label;
-  resp.responses.reserve(n);
-  size_t miss_pos = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const bool is_miss =
-        miss_pos < miss_index.size() && miss_index[miss_pos] == i;
-    QueryResponse r;
-    if (cached[i] != nullptr) {
-      r = ResponseFromCached(*cached[i], label);
-      resp.stats.total_result_bytes += r.result_bytes;
-      resp.stats.total_vo_bytes += r.vo_bytes;
-    } else {
-      // Successful misses were published to cached[] above, so a still-null
-      // slot is a failed query: carry its status, ship no rows/VO.
-      r.replica_version = label;
-      r.status = miss_outs[miss_pos].status;
-    }
-    if (is_miss) miss_pos++;
-    resp.responses.push_back(std::move(r));
+  for (QueryResponse& r : resp.responses) {
+    r.replica_version = label;
+    ApplyResponseTamper(&r);
+    resp.stats.total_result_bytes += r.result_bytes;
+    resp.stats.total_vo_bytes += r.vo_bytes;
   }
   resp.stats.vo_cache_hits = cache_hits;
   resp.stats.nodes_visited = tree_stats.nodes_visited;
@@ -436,11 +455,11 @@ Result<QueryBatchResponse> EdgeServer::ExecuteBatchOnReplica(
   return resp;
 }
 
-Result<QueryBatchResponse> EdgeServer::HandleQueryBatch(
-    const QueryBatch& batch, bool bypass_vo_cache) const {
-  // The per-query table field is redundant inside a batch (the tree is
-  // selected once below, and ExecuteSelectBatch never reads it), so a
-  // mismatch check suffices — no per-query copies on this hot path.
+Result<EdgeServer::PinnedBatch> EdgeServer::PinBatch(
+    const QueryBatch& batch) const {
+  // The per-query table field is redundant inside a batch (the replica is
+  // selected once, and ExecuteSelectBatch never reads it), so a mismatch
+  // check suffices — no per-query copies on this hot path.
   for (const SelectQuery& q : batch.queries) {
     if (!q.table.empty() && q.table != batch.table) {
       return Status::InvalidArgument("batch over '" + batch.table +
@@ -448,64 +467,41 @@ Result<QueryBatchResponse> EdgeServer::HandleQueryBatch(
                                      "'");
     }
   }
-
-  std::shared_ptr<TableReplica> replica;
-  {
-    std::shared_lock lock(mu_);
-    auto it = tables_.find(batch.table);
-    if (it == tables_.end()) {
-      return Status::NotFound("edge server has no replica of " + batch.table);
-    }
-    replica = it->second;
+  // ONE brief directory-lock acquisition picks the layout and pins every
+  // replica the batch executes against; execution then runs latch-free.
+  // A second lookup could find the replica a first one chose retired by
+  // a map install in between.
+  PinnedBatch pin;
+  std::shared_lock lock(mu_);
+  if (auto it = tables_.find(batch.table); it != tables_.end()) {
+    pin.direct = it->second;
+    return pin;
   }
-  return ExecuteBatchOnReplica(batch.table, *replica, batch.queries,
-                               bypass_vo_cache);
+  auto m = maps_.find(batch.table);
+  if (m == maps_.end()) {
+    return Status::NotFound("edge server has no replica of " + batch.table);
+  }
+  const InstalledMap& installed = m->second;
+  pin.map_bytes = installed.bytes;
+  pin.plan = BuildScatterPlan(installed.map, batch.queries);
+  for (const ShardScatter& group : pin.plan) {
+    std::string shard_name = installed.map.shard_name(group.shard_index);
+    auto it = tables_.find(shard_name);
+    if (it == tables_.end()) {
+      return Status::NotFound("shard replica not installed: " + shard_name);
+    }
+    pin.shards.emplace_back(std::move(shard_name), it->second);
+  }
+  return pin;
 }
 
-Result<ShardedQueryBatchResponse> EdgeServer::HandleQueryBatchSharded(
-    const QueryBatch& batch, bool bypass_vo_cache) const {
-  for (const SelectQuery& q : batch.queries) {
-    if (!q.table.empty() && q.table != batch.table) {
-      return Status::InvalidArgument("batch over '" + batch.table +
-                                     "' contains a query on '" + q.table +
-                                     "'");
-    }
-  }
-
-  // ONE brief directory-lock acquisition pins the map and every planned
-  // shard replica; the groups then execute latch-free. K concurrent
-  // batches walk the shard trees simultaneously — the old code held one
-  // shared latch across all groups, serializing against every install.
-  std::shared_ptr<const std::vector<uint8_t>> map_bytes;
-  std::vector<ShardScatter> plan;
-  std::vector<std::pair<std::string, std::shared_ptr<TableReplica>>> pinned;
-  {
-    std::shared_lock lock(mu_);
-    auto m = maps_.find(batch.table);
-    if (m == maps_.end()) {
-      return Status::NotFound("edge server has no partition map for " +
-                              batch.table);
-    }
-    const InstalledMap& installed = m->second;
-    map_bytes = installed.bytes;
-    plan = BuildScatterPlan(installed.map, batch.queries);
-    pinned.reserve(plan.size());
-    for (const ShardScatter& group : plan) {
-      const std::string shard_name =
-          installed.map.shard_name(group.shard_index);
-      auto it = tables_.find(shard_name);
-      if (it == tables_.end()) {
-        return Status::NotFound("shard replica not installed: " + shard_name);
-      }
-      pinned.emplace_back(shard_name, it->second);
-    }
-  }
-
+Result<ShardedQueryBatchResponse> EdgeServer::ExecuteSharded(
+    PinnedBatch pin, bool bypass_vo_cache) const {
   ShardedQueryBatchResponse out;
-  out.map_bytes = std::move(map_bytes);
-  out.groups.reserve(plan.size());
-  for (size_t gi = 0; gi < plan.size(); ++gi) {
-    const ShardScatter& group = plan[gi];
+  out.map_bytes = std::move(pin.map_bytes);
+  out.groups.reserve(pin.plan.size());
+  for (size_t gi = 0; gi < pin.plan.size(); ++gi) {
+    const ShardScatter& group = pin.plan[gi];
     std::vector<SelectQuery> slice_queries;
     slice_queries.reserve(group.slices.size());
     for (const ShardSlice& slice : group.slices) {
@@ -513,7 +509,7 @@ Result<ShardedQueryBatchResponse> EdgeServer::HandleQueryBatchSharded(
     }
     VBT_ASSIGN_OR_RETURN(
         QueryBatchResponse gr,
-        ExecuteBatchOnReplica(pinned[gi].first, *pinned[gi].second,
+        ExecuteBatchOnReplica(pin.shards[gi].first, *pin.shards[gi].second,
                               slice_queries, bypass_vo_cache));
     out.stats.Accumulate(gr.stats);
     out.groups.push_back(ShardBatchGroup{group.shard_id, std::move(gr)});
@@ -525,25 +521,42 @@ Result<ShardedQueryBatchResponse> EdgeServer::HandleQueryBatchSharded(
   return out;
 }
 
+Result<QueryBatchResponse> EdgeServer::HandleQueryBatch(
+    const QueryBatch& batch, bool bypass_vo_cache) const {
+  VBT_ASSIGN_OR_RETURN(PinnedBatch pin, PinBatch(batch));
+  if (pin.direct == nullptr) {
+    return Status::NotFound("edge server has no replica of " + batch.table);
+  }
+  return ExecuteBatchOnReplica(batch.table, *pin.direct, batch.queries,
+                               bypass_vo_cache);
+}
+
+Result<ShardedQueryBatchResponse> EdgeServer::HandleQueryBatchSharded(
+    const QueryBatch& batch, bool bypass_vo_cache) const {
+  VBT_ASSIGN_OR_RETURN(PinnedBatch pin, PinBatch(batch));
+  if (pin.direct != nullptr) {
+    return Status::InvalidArgument("'" + batch.table +
+                                   "' is served on the direct wire");
+  }
+  return ExecuteSharded(std::move(pin), bypass_vo_cache);
+}
+
 Result<std::vector<uint8_t>> EdgeServer::ExecuteBatchToWire(
     const QueryBatch& batch, uint64_t queue_wait_us,
     BatchExecStats* wire_stats) const {
-  bool direct;
-  {
-    std::shared_lock lock(mu_);
-    direct = tables_.count(batch.table) != 0;
-    if (!direct && maps_.count(batch.table) == 0) {
-      return Status::NotFound("edge server has no replica of " + batch.table);
-    }
-  }
+  VBT_ASSIGN_OR_RETURN(PinnedBatch pin, PinBatch(batch));
   ByteWriter w(1 << 14);
-  if (direct) {
-    VBT_ASSIGN_OR_RETURN(QueryBatchResponse resp, HandleQueryBatch(batch));
+  if (pin.direct != nullptr) {
+    VBT_ASSIGN_OR_RETURN(
+        QueryBatchResponse resp,
+        ExecuteBatchOnReplica(batch.table, *pin.direct, batch.queries,
+                              /*bypass_vo_cache=*/false));
     resp.stats.queue_wait_us = queue_wait_us;
     SerializeQueryBatchResponse(resp, &w, wire_stats);
   } else {
-    VBT_ASSIGN_OR_RETURN(ShardedQueryBatchResponse resp,
-                         HandleQueryBatchSharded(batch));
+    VBT_ASSIGN_OR_RETURN(
+        ShardedQueryBatchResponse resp,
+        ExecuteSharded(std::move(pin), /*bypass_vo_cache=*/false));
     for (ShardBatchGroup& g : resp.groups) {
       g.resp.stats.queue_wait_us = queue_wait_us;
     }
@@ -612,9 +625,9 @@ void SerializeQueryBatchResponse(const QueryBatchResponse& resp, ByteWriter* w,
       continue;
     }
     body.PutU8(0);
-    SerializeResultRows(qr.rows, &body);
+    SerializeResultRows(qr.rows(), &body);
     const size_t before = body.size();
-    qr.vo.SerializePooled(&body, &pool);
+    qr.vo().SerializePooled(&body, &pool);
     vo_wire_bytes += body.size() - before;
   }
   const size_t pool_start = w->size();
@@ -681,16 +694,19 @@ Result<QueryBatchResponse> DeserializeQueryBatchResponse(
       resp.responses.push_back(std::move(qr));
       continue;
     }
+    auto answer = std::make_shared<QueryOutput>();
     VBT_ASSIGN_OR_RETURN(
-        qr.rows, DeserializeResultRows(r, schema, queries[i].projection));
+        answer->rows, DeserializeResultRows(r, schema, queries[i].projection));
     // Same accounting rule as the serving edge (sum of row payloads,
     // excluding the row-count framing), so the two ends of the BENCH
     // telemetry agree byte-for-byte.
-    for (const ResultRow& row : qr.rows) {
+    for (const ResultRow& row : answer->rows) {
       qr.result_bytes += row.SerializedSize();
     }
     size_t start = r->position();
-    VBT_ASSIGN_OR_RETURN(qr.vo, VerificationObject::DeserializePooled(r, pool));
+    VBT_ASSIGN_OR_RETURN(answer->vo,
+                         VerificationObject::DeserializePooled(r, pool));
+    qr.answer = std::move(answer);
     // The pooled (index-referencing) footprint; the raw equivalent
     // arrives in the stats trailer.
     qr.vo_bytes = r->position() - start;

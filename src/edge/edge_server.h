@@ -41,8 +41,12 @@ struct QueryResponse {
   /// and the client surfaces it unverified (it can never make a wrong
   /// answer authenticate).
   Status status = Status::OK();
-  std::vector<ResultRow> rows;
-  VerificationObject vo;
+  /// The rows and VO; null for a failed slot. Shared, never copied: on
+  /// the serving edge it is the honest VO-cache entry itself (or, under a
+  /// ResponseTamper row mode, a private copy corrupted for this response
+  /// alone), and the wire encoder reads it in place; on the receiving
+  /// side it is the decoded answer.
+  std::shared_ptr<const QueryOutput> answer;
   /// Version of the replica that served the answer (monotone per table;
   /// §3.4): lets clients detect an edge serving staler data than one
   /// they already read from.
@@ -50,6 +54,14 @@ struct QueryResponse {
   /// Exact byte sizes of the two response components as serialized.
   size_t result_bytes = 0;
   size_t vo_bytes = 0;
+
+  /// The answer's rows and VO (empty for a failed slot).
+  const std::vector<ResultRow>& rows() const;
+  const VerificationObject& vo() const;
+  /// Hands the rows to the caller: moved out when this response is the
+  /// answer's only holder (a decoded answer), copied when the answer is
+  /// shared (an edge answer still held by the VO cache).
+  std::vector<ResultRow> TakeRows();
 };
 
 /// Batch-level execution telemetry, shipped with the coalesced response
@@ -232,7 +244,8 @@ class EdgeServer {
       const QueryBatch& batch, bool bypass_vo_cache = false) const;
 
   /// Scatter-gather execution of a batch naming a base table with an
-  /// installed map: the batch is partitioned per-shard by the
+  /// installed map and no replica of its plain name (which is served
+  /// directly: kInvalidArgument here). The batch is partitioned by the
   /// deterministic scatter plan; one brief directory-lock acquisition
   /// pins every planned shard replica, then all groups execute
   /// latch-free with the usual shared traversals (each group gets its
@@ -250,7 +263,8 @@ class EdgeServer {
 
   /// Shared body of the bytes paths: executes `batch` (direct or
   /// sharded) and serializes the response, stamping `queue_wait_us` and
-  /// reporting the serialization-time wire stats.
+  /// reporting the serialization-time wire stats. The layout is chosen
+  /// and pinned under one directory-lock acquisition.
   Result<std::vector<uint8_t>> ExecuteBatchToWire(
       const QueryBatch& batch, uint64_t queue_wait_us,
       BatchExecStats* wire_stats) const;
@@ -295,30 +309,30 @@ class EdgeServer {
     std::shared_ptr<const std::vector<uint8_t>> bytes;
   };
 
-  /// One memoized honest query output (rows + VO) plus its serialized
-  /// sizes, computed once at insert so cache hits never re-serialize the
-  /// VO just for byte accounting.
-  struct CachedQuery {
-    QueryOutput out;
-    size_t result_bytes = 0;
-    size_t vo_bytes = 0;
-  };
-
-  /// Edge-side VO cache: memoizes whole honest query outputs keyed by
-  /// the normalized query fingerprint, valid for exactly one replica
-  /// version. Every snapshot install / delta replay bumps the version
-  /// and flushes the table's cache wholesale, so a cached proof can
-  /// never outlive the tree state it was built from. Entries are
-  /// shared_ptr-held so concurrent readers copy without holding the
-  /// cache mutex during the (comparatively expensive) clone.
+  /// Edge-side VO cache: memoizes whole honest answers (a QueryResponse
+  /// sharing its rows + VO, with the serialized sizes computed once at
+  /// insert) keyed by the normalized query fingerprint, valid for exactly
+  /// one replica version. Every snapshot install / delta replay bumps the
+  /// version and flushes the table's cache wholesale, so a cached proof
+  /// can never outlive the tree state it was built from. A hit shares the
+  /// entry's answer, so a flush never invalidates an answer still being
+  /// encoded.
+  using VOCacheEntries = std::map<std::string, QueryResponse>;
   struct VOCache {
-    std::map<std::string, std::shared_ptr<const CachedQuery>> entries;
+    VOCacheEntries entries;
+    /// Entries the last flush dropped, freed by the next lookup.
+    VOCacheEntries retired;
     uint64_t version = 0;  ///< replica version the entries were built at
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t invalidations = 0;
   };
 
+  /// Wraps a successful execution output as a shareable answer, computing
+  /// its serialized sizes once.
+  static QueryResponse AnswerFrom(QueryOutput out);
+  /// Under a set row-level ResponseTamper mode, replaces the response's
+  /// answer with a corrupted private copy (the shared one is untouched).
   void ApplyResponseTamper(QueryResponse* resp) const;
 
   /// Body of one coalesced batch against a pinned `replica`; runs
@@ -333,25 +347,32 @@ class EdgeServer {
       const std::string& table, const TableReplica& replica,
       std::span<const SelectQuery> queries, bool bypass_vo_cache) const;
 
-  /// Wraps a successful execution output as a cache entry, computing the
-  /// serialized sizes once.
-  static std::shared_ptr<const CachedQuery> MakeCachedQuery(QueryOutput out);
-  /// Builds the response served from a cache entry (rows copy + VO clone,
-  /// tamper hook, byte accounting from the memoized sizes).
-  QueryResponse ResponseFromCached(const CachedQuery& entry,
-                                   uint64_t replica_version) const;
+  /// What one batch executes against, pinned under one directory-lock
+  /// hold: a directly addressed replica, or else the map's bytes, its
+  /// scatter plan and each planned group's shard replica (name, pin).
+  struct PinnedBatch {
+    std::shared_ptr<TableReplica> direct;
+    std::shared_ptr<const std::vector<uint8_t>> map_bytes;
+    std::vector<ShardScatter> plan;
+    std::vector<std::pair<std::string, std::shared_ptr<TableReplica>>> shards;
+  };
+  Result<PinnedBatch> PinBatch(const QueryBatch& batch) const;
+  /// Executes every group of a pinned scatter, outside mu_.
+  Result<ShardedQueryBatchResponse> ExecuteSharded(PinnedBatch pin,
+                                                   bool bypass_vo_cache) const;
 
-  /// Fills results[i] with the entry for keys[i] at `version` (nullptr on
-  /// miss), taking the cache mutex once for the whole batch.
-  void VOCacheLookupBatch(
-      const std::string& table, const std::vector<std::string>& keys,
-      uint64_t version,
-      std::vector<std::shared_ptr<const CachedQuery>>* results) const;
+  /// Fills results[i] with the entry for keys[i] at `version` (left
+  /// without an answer on a miss), taking the cache mutex once for the
+  /// whole batch.
+  void VOCacheLookupBatch(const std::string& table,
+                          const std::vector<std::string>& keys,
+                          uint64_t version,
+                          std::vector<QueryResponse>* results) const;
   void VOCacheInsertBatch(
       const std::string& table, uint64_t version,
-      std::vector<std::pair<std::string, std::shared_ptr<const CachedQuery>>>
-          entries) const;
-  /// Flushes one table's cache (install paths; exclusive latch held).
+      std::vector<std::pair<std::string, QueryResponse>> entries) const;
+  /// Flushes one table's cache (install paths): its entries are retired
+  /// for the next lookup to free.
   void VOCacheFlush(const std::string& table) const;
 
   std::string name_;

@@ -176,7 +176,7 @@ void LazyAuditor::AuditOne(AuditTicket ticket) {
     a.source = ticket.source;
     a.query = ticket.queries[i];
     ByteWriter w;
-    resp.responses[i].vo.Serialize(&w);
+    resp.responses[i].vo().Serialize(&w);
     a.vo_bytes = w.TakeBuffer();
     a.replica_version = resp.replica_version;
     a.verification = std::move(why);
@@ -190,7 +190,7 @@ void LazyAuditor::AuditOne(AuditTicket ticket) {
   for (size_t i = 0; i < resp.responses.size(); ++i) {
     const QueryResponse& qr = resp.responses[i];
     if (!qr.status.ok()) continue;  // was delivered unauthenticated
-    const uint32_t kv = qr.vo.key_version;
+    const uint32_t kv = qr.vo().key_version;
     auto rec_it = recoverers.find(kv);
     if (rec_it == recoverers.end()) {
       rec_it = recoverers.emplace(kv, keys_->RecovererFor(kv, ticket.now))
@@ -203,11 +203,12 @@ void LazyAuditor::AuditOne(AuditTicket ticket) {
       make_alarm(i, rec_it->second.status());
       continue;
     }
-    BatchVerifier::Job job{&ticket.queries[i], &qr.rows, &qr.vo, nullptr};
+    BatchVerifier::Job job{&ticket.queries[i], &qr.rows(), &qr.vo(),
+                           nullptr};
     if (ticket.has_binding) job.binding = &binding;
     job.known_top = top_memo_.Lookup(ticket.schema_table,
                                      resp.replica_version, kv,
-                                     qr.vo.signed_top);
+                                     qr.vo().signed_top);
     if (job.known_top != nullptr) memo_hits++;
     jobs.push_back(job);
     job_index.push_back(i);
@@ -218,7 +219,7 @@ void LazyAuditor::AuditOne(AuditTicket ticket) {
     // dominant version — mirrors Client::VerifyBatchGroup.
     std::map<uint32_t, std::vector<size_t>> by_version;
     for (size_t j = 0; j < jobs.size(); ++j) {
-      by_version[resp.responses[job_index[j]].vo.key_version].push_back(j);
+      by_version[resp.responses[job_index[j]].vo().key_version].push_back(j);
     }
     uint32_t pool_kv = 0;
     size_t pool_kv_jobs = 0;
@@ -249,7 +250,7 @@ void LazyAuditor::AuditOne(AuditTicket ticket) {
           make_alarm(i, std::move(out.verification));
         } else if (out.top_recovered) {
           top_memo_.Insert(ticket.schema_table, resp.replica_version, kv,
-                           resp.responses[i].vo.signed_top, out.top_digest);
+                           resp.responses[i].vo().signed_top, out.top_digest);
         }
       }
     }

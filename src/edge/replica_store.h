@@ -3,6 +3,7 @@
 
 #include <array>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <unordered_map>
@@ -17,6 +18,14 @@ namespace vbtree {
 /// tuple, addressed by the Rids embedded in the distributed VB-tree's
 /// leaf entries. Being *unsecured* (§3.1), it exposes tamper hooks that
 /// tests and examples use to play the hacked-edge-server role.
+///
+/// Tuples are shared and immutable: each is built once (make_shared) and
+/// Get hands out a reference to it — one atomic increment, no copy — so a
+/// query copies an answered row exactly once, from the stored tuple into
+/// its result. Nothing mutates a stored tuple in place: a Put or a
+/// TamperByKey swaps in a new tuple and a remove drops the store's
+/// reference, so a reader still holding the old tuple keeps an unchanged
+/// value that lives until its last holder lets go.
 ///
 /// Thread-safe and striped: with latch-free VB-tree reads, query workers
 /// fetch tuples while delta replay (the install writer) concurrently
@@ -36,17 +45,18 @@ class ReplicaStore {
  public:
   Status Put(const Rid& rid, Tuple tuple) {
     int64_t key = tuple.key();
+    auto shared = std::make_shared<const Tuple>(std::move(tuple));
     {
       Stripe& s = StripeFor(rid);
       std::unique_lock lock(s.mu);
-      s.by_rid[Pack(rid)] = std::move(tuple);
+      s.by_rid[Pack(rid)] = std::move(shared);
     }
     std::unique_lock lock(key_mu_);
     rid_by_key_[key] = rid;
     return Status::OK();
   }
 
-  Result<Tuple> Get(const Rid& rid) const {
+  Result<std::shared_ptr<const Tuple>> Get(const Rid& rid) const {
     const Stripe& s = StripeFor(rid);
     std::shared_lock lock(s.mu);
     auto it = s.by_rid.find(Pack(rid));
@@ -64,7 +74,9 @@ class ReplicaStore {
   }
 
   /// Tampers with a stored attribute value — the "hacker modified the data
-  /// at the edge" scenario the VO must expose.
+  /// at the edge" scenario the VO must expose. Copy-on-write: the row is
+  /// replaced by a corrupted copy, so a reader holding the old tuple
+  /// never sees it change.
   Status TamperByKey(int64_t key, size_t col, Value v) {
     Rid rid;
     {
@@ -79,11 +91,12 @@ class ReplicaStore {
     std::unique_lock lock(s.mu);
     auto it = s.by_rid.find(Pack(rid));
     if (it == s.by_rid.end()) return Status::NotFound("no tuple with key");
-    Tuple& t = it->second;
-    if (col >= t.num_values()) {
+    if (col >= it->second->num_values()) {
       return Status::InvalidArgument("column out of range");
     }
-    t.set_value(col, std::move(v));
+    Tuple tampered = *it->second;
+    tampered.set_value(col, std::move(v));
+    it->second = std::make_shared<const Tuple>(std::move(tampered));
     return Status::OK();
   }
 
@@ -116,7 +129,7 @@ class ReplicaStore {
 
   struct Stripe {
     mutable std::shared_mutex mu;
-    std::unordered_map<uint64_t, Tuple> by_rid;
+    std::unordered_map<uint64_t, std::shared_ptr<const Tuple>> by_rid;
   };
 
   static uint64_t Pack(const Rid& rid) {

@@ -1,6 +1,8 @@
 #ifndef VBTREE_QUERY_EXECUTOR_H_
 #define VBTREE_QUERY_EXECUTOR_H_
 
+#include <memory>
+
 #include "query/predicate.h"
 #include "storage/table_heap.h"
 #include "vbtree/vb_tree.h"
@@ -25,9 +27,13 @@ class Executor {
     return tree_->ExecuteSelectBatch(queries, fetcher_, stats);
   }
 
-  /// Adapts a TableHeap into the VBTree's TupleFetcher interface.
+  /// Adapts a TableHeap into the VBTree's TupleFetcher interface: the
+  /// tuple decoded from the page is wrapped once, without a copy.
   static VBTree::TupleFetcher FetcherFor(const TableHeap* heap) {
-    return [heap](const Rid& rid) { return heap->Get(rid); };
+    return [heap](const Rid& rid) -> Result<std::shared_ptr<const Tuple>> {
+      VBT_ASSIGN_OR_RETURN(Tuple t, heap->Get(rid));
+      return std::make_shared<const Tuple>(std::move(t));
+    };
   }
 
  private:

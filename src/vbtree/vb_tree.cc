@@ -1066,7 +1066,9 @@ Status VBTree::BuildVONode(const Node* node, int depth, const SelectQuery& q,
       // A fetch failure is only trusted (reported as tampering) if the
       // read set validates afterwards; otherwise the attempt restarts —
       // a concurrent writer may simply have won the race to the store.
-      VBT_ASSIGN_OR_RETURN(Tuple t, fetch(e.rid));
+      VBT_ASSIGN_OR_RETURN(std::shared_ptr<const Tuple> fetched,
+                           fetch(e.rid));
+      const Tuple& t = *fetched;
       if (!q.MatchesConditions(t)) {
         // Non-key predicate gap inside the range (§3.3 Selection on
         // non-key attributes).
@@ -1264,16 +1266,18 @@ Result<std::vector<QueryOutput>> VBTree::ExecuteSelectBatch(
 
   // Batch-scoped tuple memo: queries with overlapping envelopes share each
   // replica-store read (and tuple deserialization) instead of re-fetching
-  // per query. Rids are dense and few per batch; an ordered map keeps this
+  // per query. It holds references to the fetched tuples, never copies.
+  // Rids are dense and few per batch; an ordered map keeps this
   // dependency-free. Fetches land in a per-attempt staging area first and
   // merge into the committed memo only when the attempt's read set
   // validates — a restarted (torn) read can never leak a tuple to its
   // batch siblings.
-  std::map<std::pair<int32_t, uint16_t>, Tuple> memo;
-  std::map<std::pair<int32_t, uint16_t>, Tuple> staging;
+  using TupleRef = std::shared_ptr<const Tuple>;
+  std::map<std::pair<int32_t, uint16_t>, TupleRef> memo;
+  std::map<std::pair<int32_t, uint16_t>, TupleRef> staging;
   size_t fetches = 0;
   size_t hits = 0;
-  TupleFetcher shared_fetch = [&](const Rid& rid) -> Result<Tuple> {
+  TupleFetcher shared_fetch = [&](const Rid& rid) -> Result<TupleRef> {
     auto key = std::make_pair(rid.page_id, rid.slot);
     if (auto it = memo.find(key); it != memo.end()) {
       hits++;
@@ -1400,7 +1404,9 @@ Status VBTree::ResignRec(Node* node, const TupleFetcher& fetch) {
   if (node->is_leaf) {
     Leaf* leaf = MutableLeaf(node);
     for (LeafEntry& e : leaf->entries) {
-      VBT_ASSIGN_OR_RETURN(Tuple t, fetch(e.rid));
+      VBT_ASSIGN_OR_RETURN(std::shared_ptr<const Tuple> fetched,
+                           fetch(e.rid));
+      const Tuple& t = *fetched;
       if (t.key() != e.key) {
         return Status::Corruption("tuple key does not match leaf entry");
       }

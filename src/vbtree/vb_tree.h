@@ -142,8 +142,11 @@ class VBTree {
  public:
   /// Fetches the tuple behind a leaf-entry Rid; supplied by the edge
   /// server (its table-heap replica — possibly tampered with, which the
-  /// client-side Verifier will expose).
-  using TupleFetcher = std::function<Result<Tuple>(const Rid&)>;
+  /// client-side Verifier will expose). Returns a shared reference to an
+  /// immutable tuple, so a fetch copies nothing: query execution copies
+  /// an answered row once, into its ResultRow.
+  using TupleFetcher =
+      std::function<Result<std::shared_ptr<const Tuple>>(const Rid&)>;
 
   VBTree(DigestSchema digest_schema, VBTreeOptions opts, Signer* signer,
          LockManager* lock_manager = nullptr);

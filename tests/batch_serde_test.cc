@@ -183,7 +183,7 @@ TEST_F(BatchSerdeTest, PoolIndexOutOfRangeIsCorruption) {
   // kCorruption, not an out-of-bounds read.
   auto resp = edge_->HandleQueryBatch(batch_);
   ASSERT_TRUE(resp.ok());
-  const VerificationObject& vo = resp->responses[0].vo;
+  const VerificationObject& vo = resp->responses[0].vo();
 
   SignaturePool pool;
   ByteWriter body;
@@ -241,8 +241,8 @@ TEST_F(BatchSerdeTest, OversizedPoolIndexInMessageIsCorruption) {
   patched.PutBytes(Slice(honest_v2_.data(), body_start));
   for (const QueryResponse& qr : resp->responses) {
     patched.PutU8(0);
-    SerializeResultRows(qr.rows, &patched);
-    qr.vo.SerializePooled(&patched, &big);  // indices >= pool->size()
+    SerializeResultRows(qr.rows(), &patched);
+    qr.vo().SerializePooled(&patched, &big);  // indices >= pool->size()
   }
   // Trailer copied from the honest tail (same field count).
   // Parsing must fail with kCorruption at the first out-of-range index,
@@ -258,7 +258,7 @@ TEST_F(BatchSerdeTest, PooledVORoundTripsBitExact) {
   for (const QueryResponse& qr : resp->responses) {
     SignaturePool pool;
     ByteWriter body;
-    qr.vo.SerializePooled(&body, &pool);
+    qr.vo().SerializePooled(&body, &pool);
 
     ByteWriter pool_bytes;
     pool.Serialize(&pool_bytes);
@@ -270,7 +270,7 @@ TEST_F(BatchSerdeTest, PooledVORoundTripsBitExact) {
     auto decoded = VerificationObject::DeserializePooled(&br, *decoded_pool);
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     ByteWriter raw_a, raw_b;
-    qr.vo.Serialize(&raw_a);
+    qr.vo().Serialize(&raw_a);
     decoded->Serialize(&raw_b);
     EXPECT_EQ(raw_a.buffer(), raw_b.buffer());
   }
@@ -281,7 +281,7 @@ TEST_F(BatchSerdeTest, TruncatedAndFlippedPooledVONeverCrashes) {
   ASSERT_TRUE(resp.ok());
   SignaturePool pool;
   ByteWriter body;
-  resp->responses[0].vo.SerializePooled(&body, &pool);
+  resp->responses[0].vo().SerializePooled(&body, &pool);
   std::vector<uint8_t> honest(body.buffer());
 
   for (size_t len = 0; len < honest.size(); ++len) {
@@ -399,6 +399,55 @@ TEST(SignaturePoolIndexTest, DeserializedPoolInternsToExistingEntries) {
   EXPECT_EQ(pool->size(), built.size());
   const Signature fresh(16, 0xEE);
   EXPECT_EQ(pool->Intern(fresh), built.size());
+}
+
+/// FNV-1a: a compact fingerprint of an encoded buffer for the goldens.
+uint64_t Fnv1a(const std::vector<uint8_t>& bytes) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST_F(BatchSerdeTest, EncodingIsByteIdenticalToGolden) {
+  // The encoder reads each answer in place, shared with the VO cache.
+  // It must emit exactly the bytes of the earlier encoder, which
+  // serialized a private copy of every answer: the goldens below are that
+  // encoder's output on this fixture, for a fresh execution (cache
+  // bypassed) and a VO-cache hit, on both wires. exec_us is wall-clock
+  // time, so it is zeroed before encoding; every other trailer field is
+  // deterministic on a quiesced replica.
+  struct Golden {
+    bool bypass_vo_cache;
+    size_t v2_size;
+    uint64_t v2_fnv;
+    size_t v3_size;
+    uint64_t v3_fnv;
+  };
+  const Golden goldens[] = {
+      {true, 43370, 0x64876330bb5f7e4eull, 46275, 0x710cd8f43ef3dd1dull},
+      {false, 43369, 0xa8eb957c1671d98cull, 46275, 0x4cc8fa45796d90d0ull},
+  };
+  for (const Golden& g : goldens) {
+    auto v2 = edge_->HandleQueryBatch(batch_, g.bypass_vo_cache);
+    ASSERT_TRUE(v2.ok());
+    v2->stats.exec_us = 0;
+    ByteWriter w2;
+    SerializeQueryBatchResponse(*v2, &w2);
+    EXPECT_EQ(w2.size(), g.v2_size) << "bypass=" << g.bypass_vo_cache;
+    EXPECT_EQ(Fnv1a(w2.buffer()), g.v2_fnv) << "bypass=" << g.bypass_vo_cache;
+
+    auto v3 = edge_->HandleQueryBatchSharded(sharded_batch_,
+                                             g.bypass_vo_cache);
+    ASSERT_TRUE(v3.ok());
+    for (ShardBatchGroup& group : v3->groups) group.resp.stats.exec_us = 0;
+    ByteWriter w3;
+    SerializeShardedQueryBatchResponse(*v3, &w3);
+    EXPECT_EQ(w3.size(), g.v3_size) << "bypass=" << g.bypass_vo_cache;
+    EXPECT_EQ(Fnv1a(w3.buffer()), g.v3_fnv) << "bypass=" << g.bypass_vo_cache;
+  }
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 
 #include "edge/client.h"
 #include "edge/replica_store.h"
+#include "query/query_serde.h"
 #include "tests/testutil.h"
 
 namespace vbtree {
@@ -418,6 +419,129 @@ TEST(OLCStressTest, FallbackRevalidatesSlotsInvalidatedBeforeLock) {
 }
 
 // ---------------------------------------------------------------------------
+// Shared replica tuples: the store hands out references to immutable
+// tuples, so a holder is never mutated or freed under it (ASan checks the
+// lifetime, TSan the races).
+// ---------------------------------------------------------------------------
+
+TEST(ReplicaStoreSharingTest, FetchedTupleOutlivesRemoveAndTamper) {
+  StressDb db(64);
+  auto held = db.store.Get(RidFor(5));
+  ASSERT_TRUE(held.ok());
+  const Tuple before = **held;
+
+  // A second fetch of an untouched rid is the same object: no copy.
+  auto again = db.store.Get(RidFor(5));
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(held->get(), again->get());
+
+  // Copy-on-write tamper: later fetches see the corrupted row, the
+  // holder keeps the row it fetched.
+  ASSERT_TRUE(db.store.TamperByKey(5, 1, Value::Str("EVIL")).ok());
+  EXPECT_EQ(**held, before);
+  auto tampered = db.store.Get(RidFor(5));
+  ASSERT_TRUE(tampered.ok());
+  EXPECT_NE(tampered->get(), held->get());
+  EXPECT_EQ((*tampered)->value(1).Compare(Value::Str("EVIL")), 0);
+
+  // Removal drops the store's reference only.
+  auto doomed = db.store.Get(RidFor(9));
+  ASSERT_TRUE(doomed.ok());
+  const Tuple doomed_before = **doomed;
+  EXPECT_EQ(db.store.RemoveKeyRange(9, 9), 1u);
+  EXPECT_FALSE(db.store.Get(RidFor(9)).ok());
+  EXPECT_EQ(**doomed, doomed_before);
+}
+
+TEST(ReplicaStoreSharingTest, VOBuiltAfterTamperFailsVerification) {
+  StressDb db(64);
+  SelectQuery q = db.RangeQuery(0, 20);
+  auto honest = db.tree->ExecuteSelect(q, db.store.Fetcher());
+  ASSERT_TRUE(honest.ok());
+  Verifier v = db.MakeVerifier();
+  ASSERT_TRUE(v.VerifySelect(q, honest->rows, honest->vo).ok());
+
+  ASSERT_TRUE(db.store.TamperByKey(7, 2, Value::Str("EVIL")).ok());
+  auto after = db.tree->ExecuteSelect(q, db.store.Fetcher());
+  ASSERT_TRUE(after.ok());
+  Status s = v.VerifySelect(q, after->rows, after->vo);
+  EXPECT_TRUE(s.IsVerificationFailure()) << s.ToString();
+  // The answer built before the tamper copied its rows and still holds.
+  EXPECT_TRUE(v.VerifySelect(q, honest->rows, honest->vo).ok());
+}
+
+TEST(ReplicaStoreSharingTest, HeldTuplesStayIntactUnderReplayAndTamper) {
+  // Readers hold fetched tuples (directly, and inside batch executions'
+  // memos) while a writer inserts, range-deletes and tampers the very
+  // rows they hold. A holder must keep reading exactly the value it
+  // fetched; an in-place mutation would also be a TSan data race.
+  constexpr size_t kBase = 128;
+  constexpr int64_t kChurn = 160;
+  StressDb db(kBase);
+
+  std::atomic<bool> done{false};
+  std::atomic<bool> writer_ok{true};
+  std::atomic<int64_t> laps{0};
+  std::thread writer([&] {
+    Rng rng(5150);
+    for (int64_t seq = 0; seq < kChurn && writer_ok; ++seq) {
+      // Pace the writer by the readers' progress so the two interleave.
+      while (laps.load() < seq) std::this_thread::yield();
+      if (!db.InsertChurn(seq, &rng).ok()) writer_ok = false;
+      const int64_t victim = seq % static_cast<int64_t>(kBase);
+      Value evil = Value::Str("T" + std::to_string(seq));
+      if (!db.store.TamperByKey(victim, 1, std::move(evil)).ok()) {
+        writer_ok = false;
+      }
+      if (seq % 16 == 15) {
+        // Replay order for a delete: tree first, then the store.
+        const int64_t lo = static_cast<int64_t>(kBase) + seq - 15;
+        if (!db.tree->DeleteRange(lo, lo + 7).ok()) writer_ok = false;
+        db.store.RemoveKeyRange(lo, lo + 7);
+      }
+    }
+    done = true;
+  });
+
+  std::atomic<uint64_t> changed{0};
+  std::atomic<uint64_t> failed_batches{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      std::vector<std::pair<std::shared_ptr<const Tuple>, Tuple>> held;
+      const int64_t domain = static_cast<int64_t>(kBase) + kChurn;
+      int64_t next = r * 37;
+      while (!done.load(std::memory_order_acquire)) {
+        for (int i = 0; i < 8; ++i) {
+          auto t = db.store.Get(RidFor(next));
+          next = (next + 1) % domain;
+          if (t.ok()) held.emplace_back(*t, **t);
+        }
+        if (held.size() > 64) {
+          for (const auto& [ref, copy] : held) {
+            if (!(*ref == copy)) changed++;
+          }
+          held.erase(held.begin(), held.begin() + 32);
+        }
+        std::vector<SelectQuery> batch = {db.RangeQuery(0, 40),
+                                          db.RangeQuery(20, domain)};
+        auto outs = db.tree->ExecuteSelectBatch(batch, db.store.Fetcher());
+        if (!outs.ok()) failed_batches++;
+        laps++;
+      }
+      for (const auto& [ref, copy] : held) {
+        if (!(*ref == copy)) changed++;
+      }
+    });
+  }
+  writer.join();
+  for (auto& t : readers) t.join();
+  EXPECT_TRUE(writer_ok.load());
+  EXPECT_EQ(changed.load(), 0u) << "a held tuple changed under its reader";
+  EXPECT_EQ(failed_batches.load(), 0u);
+}
+
+// ---------------------------------------------------------------------------
 // Edge level: snapshot installs and delta replay race authenticated
 // client queries against the EdgeServer.
 // ---------------------------------------------------------------------------
@@ -485,6 +609,76 @@ TEST(OLCStressTest, SnapshotInstallRacesVerifiedQueries) {
   churn.join();
   for (auto& t : readers) t.join();
   EXPECT_EQ(edge.TableVersion("items"), 30u);
+}
+
+TEST(OLCStressTest, EdgeAnswersRaceReplayTamperAndCacheFlush) {
+  // Encoded answers share VO-cache entries and replica tuples. Readers
+  // encode and decode batches (half of them VO-cache hits) while delta
+  // replay inserts and range-deletes, and the tamper hook swaps rows and
+  // flushes the cache under them.
+  CentralServer::Options opts;
+  opts.tree_opts.config.max_internal = 8;
+  opts.tree_opts.config.max_leaf = 8;
+  auto central_or = CentralServer::Create(opts);
+  ASSERT_TRUE(central_or.ok());
+  std::unique_ptr<CentralServer> central = central_or.MoveValueUnsafe();
+  Schema schema = MakeWideSchema(6);
+  ASSERT_TRUE(central->CreateTable("items", schema).ok());
+  Rng rng(42);
+  ASSERT_TRUE(
+      central->LoadTable("items", testutil::MakeRows(schema, 300, &rng)).ok());
+  EdgeServer edge("edge-1");
+  ASSERT_TRUE(testutil::Publish(central.get(), "items", &edge).ok());
+
+  QueryBatch batch;
+  batch.table = "items";
+  for (int i = 0; i < 4; ++i) {
+    SelectQuery q;
+    q.range = KeyRange{i * 60, i * 60 + 90};
+    if (i % 2 == 1) q.projection = {0, 2};
+    q.NormalizeProjection();
+    batch.queries.push_back(std::move(q));
+  }
+  ByteWriter req;
+  SerializeQueryBatch(batch, &req);
+  const std::vector<uint8_t> request = req.TakeBuffer();
+
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> bad{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      while (!done.load(std::memory_order_acquire)) {
+        for (int rep = 0; rep < 2; ++rep) {  // a miss, then a cache hit
+          auto bytes = edge.HandleQueryBatchBytes(Slice(request));
+          if (!bytes.ok()) {
+            bad++;
+            continue;
+          }
+          ByteReader rd((Slice(*bytes)));
+          auto resp = DeserializeQueryBatchResponse(&rd, schema, batch.queries);
+          if (!resp.ok() || resp->responses.size() != batch.queries.size()) {
+            bad++;
+          }
+        }
+      }
+    });
+  }
+  Rng crng(77);
+  for (int i = 0; i < 24; ++i) {
+    ASSERT_TRUE(
+        central->InsertTuple("items", MakeTuple(schema, 300 + i, &crng)).ok());
+    if (i % 6 == 5) {
+      ASSERT_TRUE(central->DeleteRange("items", 300 + i - 3, 300 + i).ok());
+    }
+    ASSERT_TRUE(testutil::PublishDelta(central.get(), "items", &edge).ok());
+    ASSERT_TRUE(edge.TamperValueByKey("items", i * 11, 1,
+                                      Value::Str("evil" + std::to_string(i)))
+                    .ok());
+  }
+  done = true;
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(bad.load(), 0u);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "edge/partition_map.h"
 #include "edge/propagation/distribution_hub.h"
 #include "edge/query_service/query_service.h"
+#include "query/query_serde.h"
 #include "tests/testutil.h"
 
 namespace vbtree {
@@ -381,6 +382,48 @@ TEST_F(PartitionMapTest, MapEpochGatesShardInstalls) {
   EXPECT_TRUE(m.IsInvalidArgument()) << m.ToString();
 }
 
+TEST_F(PartitionMapTest, RowTamperModesDetectedOnShardedWire) {
+  // Warm edge-1's VO caches with an honest answer first: each tampered
+  // response below is then built from a shared cache entry, which the
+  // tamper must copy, never corrupt.
+  const SelectQuery q = RangeQuery(100, 900);  // spans all 4 shards
+  auto warm = client_->Query(edge1_.get(), q, 10, &net_);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  ASSERT_TRUE(warm->verification.ok()) << warm->verification.ToString();
+  ASSERT_EQ(warm->shards_touched, 4u);
+
+  auto map = central_->TablePartitionMap("orders");
+  ASSERT_TRUE(map.ok());
+  auto cache_hits = [&] {
+    uint64_t hits = 0;
+    for (size_t i = 0; i < map->shards.size(); ++i) {
+      hits += edge1_->vo_cache_stats(map->shard_name(i)).hits;
+    }
+    return hits;
+  };
+  const uint64_t warm_hits = cache_hits();
+  for (ResponseTamper mode :
+       {ResponseTamper::kModifyValue, ResponseTamper::kInjectRow,
+        ResponseTamper::kDropRow}) {
+    edge1_->set_response_tamper(mode);
+    auto result = client_->Query(edge1_.get(), q, 10, &net_);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_TRUE(result->verification.IsVerificationFailure())
+        << "mode " << static_cast<int>(mode) << ": "
+        << result->verification.ToString();
+  }
+  EXPECT_EQ(cache_hits(), warm_hits + 3 * 4)
+      << "every tampered answer was served from the warm entries";
+
+  // The entries the tampered responses were copied from still verify.
+  edge1_->set_response_tamper(ResponseTamper::kNone);
+  auto healed = client_->Query(edge1_.get(), q, 10, &net_);
+  ASSERT_TRUE(healed.ok()) << healed.status().ToString();
+  EXPECT_TRUE(healed->verification.ok()) << healed->verification.ToString();
+  EXPECT_EQ(healed->rows.size(), 801u);
+  EXPECT_EQ(cache_hits(), warm_hits + 4 * 4);
+}
+
 TEST(PartitionMapDirectWireTest, UnsplitShardedTableReportsLikeScatter) {
   // An unsplit table registered as sharded: its 1-entry map names the
   // plain table, so edges answer it on the direct (v2) wire. Edge B is
@@ -454,6 +497,63 @@ TEST(PartitionMapDirectWireTest, UnsplitShardedTableReportsLikeScatter) {
   ASSERT_TRUE(single.ok()) << single.status().ToString();
   EXPECT_TRUE(single->verification.IsVerificationFailure())
       << single->verification.ToString();
+}
+
+TEST(PartitionMapDirectWireTest, BytesPathServesUnsplitThenSplitTable) {
+  // The bytes path picks direct vs. scatter and pins what it executes
+  // against in one directory lookup. An unsplit sharded table is served
+  // on the direct wire; once a split retires its plain-name replica, the
+  // same request is served on the sharded wire, never as NotFound.
+  CentralServer::Options opts;
+  opts.tree_opts.config.max_internal = 16;
+  opts.tree_opts.config.max_leaf = 16;
+  auto central = CentralServer::Create(opts);
+  ASSERT_TRUE(central.ok());
+  Schema schema = testutil::MakeWideSchema(6);
+  ASSERT_TRUE((*central)->CreateTable("events", schema, {}).ok());
+  Rng rng(78);
+  ASSERT_TRUE((*central)
+                  ->LoadTable("events", testutil::MakeRows(schema, kRows, &rng))
+                  .ok());
+  InProcessTransport net;
+  EdgeServer edge("edge-a");
+  PropagationOptions popts;
+  popts.auto_start = false;
+  DistributionHub hub(central->get(), &net, popts);
+  ASSERT_TRUE(hub.Subscribe(&edge).ok());
+  ASSERT_TRUE(hub.SyncAll().ok());
+
+  QueryBatch batch;
+  batch.table = "events";
+  for (int i = 0; i < 3; ++i) {
+    SelectQuery q;
+    q.range = KeyRange{i * 300, i * 300 + 200};
+    q.NormalizeProjection();
+    batch.queries.push_back(std::move(q));
+  }
+  ByteWriter req;
+  SerializeQueryBatch(batch, &req);
+  const std::vector<uint8_t> request = req.TakeBuffer();
+
+  auto unsplit = edge.HandleQueryBatchBytes(Slice(request));
+  ASSERT_TRUE(unsplit.ok()) << unsplit.status().ToString();
+  EXPECT_EQ((*unsplit)[0], static_cast<uint8_t>(BatchWire::kV2));
+  ByteReader r2((Slice(*unsplit)));
+  auto direct = DeserializeQueryBatchResponse(&r2, schema, batch.queries);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  EXPECT_EQ(direct->responses[1].rows().size(), 201u);
+
+  ASSERT_TRUE((*central)->SplitShard("events", 500).ok());
+  ASSERT_TRUE(hub.SyncAll().ok());
+  EXPECT_FALSE(edge.HasTable("events"));
+  auto split = edge.HandleQueryBatchBytes(Slice(request));
+  ASSERT_TRUE(split.ok()) << split.status().ToString();
+  EXPECT_EQ((*split)[0], static_cast<uint8_t>(BatchWire::kSharded));
+  ByteReader r3((Slice(*split)));
+  auto sharded =
+      DeserializeShardedQueryBatchResponse(&r3, schema, batch.queries);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  EXPECT_EQ(sharded->groups.size(), 2u);
 }
 
 TEST_F(PartitionMapTest, PerShardDeltasShipIndependently) {

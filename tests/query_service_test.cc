@@ -172,12 +172,14 @@ TEST_F(QueryServiceTest, BatchAnswersMatchSerialExecutionRowForRow) {
     ASSERT_TRUE(serial_batch.ok());
     const QueryResponse* serial = &serial_batch->responses[0];
     const QueryResponse& b = batched->responses[i];
-    ASSERT_EQ(b.rows.size(), serial->rows.size()) << "query " << i;
-    for (size_t r = 0; r < b.rows.size(); ++r) {
-      EXPECT_EQ(b.rows[r].key, serial->rows[r].key);
-      ASSERT_EQ(b.rows[r].values.size(), serial->rows[r].values.size());
-      for (size_t v = 0; v < b.rows[r].values.size(); ++v) {
-        EXPECT_EQ(b.rows[r].values[v].Compare(serial->rows[r].values[v]), 0);
+    const std::vector<ResultRow>& got = b.rows();
+    const std::vector<ResultRow>& want = serial->rows();
+    ASSERT_EQ(got.size(), want.size()) << "query " << i;
+    for (size_t r = 0; r < got.size(); ++r) {
+      EXPECT_EQ(got[r].key, want[r].key);
+      ASSERT_EQ(got[r].values.size(), want[r].values.size());
+      for (size_t v = 0; v < got[r].values.size(); ++v) {
+        EXPECT_EQ(got[r].values[v].Compare(want[r].values[v]), 0);
       }
     }
     EXPECT_EQ(b.replica_version, serial->replica_version);
@@ -213,7 +215,7 @@ TEST_F(QueryServiceTest, SingleQuerySubmissionVerifies) {
   auto decoded =
       DeserializeQueryBatchResponse(&r, schema_, {RangeQuery(10, 40)});
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->responses[0].rows.size(), 31u);
+  EXPECT_EQ(decoded->responses[0].rows().size(), 31u);
   QueryService::Stats stats = service.stats();
   EXPECT_EQ(stats.batched_queries, 1u);
   EXPECT_GT(stats.vo_bytes_total, 0u);
@@ -418,8 +420,8 @@ TEST_F(QueryServiceTest, BatchVerifierMatchesSerialVerifierOutcomes) {
   std::vector<BatchVerifier::Job> jobs;
   for (size_t i = 0; i < batch.queries.size(); ++i) {
     jobs.push_back(BatchVerifier::Job{&batch.queries[i],
-                                      &resp->responses[i].rows,
-                                      &resp->responses[i].vo});
+                                      &resp->responses[i].rows(),
+                                      &resp->responses[i].vo()});
   }
   BatchVerifier parallel(BatchVerifier::Options{3});
   BatchVerifier inline_mode(BatchVerifier::Options{0});
@@ -456,8 +458,8 @@ TEST_F(QueryServiceTest, BatchWirePathRoundTrips) {
   EXPECT_EQ(wire->replica_version, direct->replica_version);
   EXPECT_EQ(wire->stats.queue_wait_us, 0u);  // direct path: never queued
   for (size_t i = 0; i < wire->responses.size(); ++i) {
-    EXPECT_EQ(wire->responses[i].rows.size(),
-              direct->responses[i].rows.size());
+    EXPECT_EQ(wire->responses[i].rows().size(),
+              direct->responses[i].rows().size());
     // Both ends account row payload identically.
     EXPECT_EQ(wire->responses[i].result_bytes,
               direct->responses[i].result_bytes);
@@ -503,8 +505,8 @@ TEST_F(QueryServiceTest, PooledWireCutsVOBytesOnOverlappingRanges) {
   ASSERT_TRUE(rec.ok());
   BatchVerifier inline_verifier(BatchVerifier::Options{0});
   for (size_t i = 0; i < wire->responses.size(); ++i) {
-    BatchVerifier::Job job{&batch.queries[i], &wire->responses[i].rows,
-                           &wire->responses[i].vo};
+    BatchVerifier::Job job{&batch.queries[i], &wire->responses[i].rows(),
+                           &wire->responses[i].vo()};
     auto outcome = inline_verifier.VerifyAll(ds, rec->get(), {&job, 1});
     EXPECT_TRUE(outcome[0].verification.ok())
         << "query " << i << ": " << outcome[0].verification.ToString();
@@ -531,14 +533,14 @@ TEST_F(QueryServiceTest, V2WireVOsMatchInProcessVOs) {
   for (size_t i = 0; i < direct->responses.size(); ++i) {
     const QueryResponse& a = direct->responses[i];
     const QueryResponse& b = from_v2->responses[i];
-    ASSERT_EQ(a.rows.size(), b.rows.size());
-    for (size_t r = 0; r < a.rows.size(); ++r) {
-      EXPECT_EQ(a.rows[r].key, b.rows[r].key);
+    ASSERT_EQ(a.rows().size(), b.rows().size());
+    for (size_t r = 0; r < a.rows().size(); ++r) {
+      EXPECT_EQ(a.rows()[r].key, b.rows()[r].key);
     }
-    EXPECT_EQ(a.vo.DigestCount(), b.vo.DigestCount());
+    EXPECT_EQ(a.vo().DigestCount(), b.vo().DigestCount());
     ByteWriter wa, wb;
-    a.vo.Serialize(&wa);
-    b.vo.Serialize(&wb);
+    a.vo().Serialize(&wa);
+    b.vo().Serialize(&wb);
     EXPECT_EQ(wa.buffer(), wb.buffer()) << "VO " << i << " diverged";
     self_contained_bytes += wa.size();
   }
@@ -563,8 +565,7 @@ TEST_F(QueryServiceTest, ResponseCountMismatchIsCorruptionNotOutOfBounds) {
   for (size_t i = 0; i + 1 < resp->responses.size(); ++i) {
     QueryResponse qr;
     qr.status = resp->responses[i].status;
-    qr.rows = resp->responses[i].rows;
-    qr.vo = resp->responses[i].vo.Clone();
+    qr.answer = resp->responses[i].answer;
     fewer.responses.push_back(std::move(qr));
   }
   ByteWriter w;
@@ -712,8 +713,8 @@ TEST_F(QueryServiceTest, TamperedPooledSignatureStillDetected) {
     bool any_failed = false;
     BatchVerifier inline_verifier(BatchVerifier::Options{0});
     for (size_t i = 0; i < out->responses.size(); ++i) {
-      BatchVerifier::Job job{&batch.queries[i], &out->responses[i].rows,
-                             &out->responses[i].vo};
+      BatchVerifier::Job job{&batch.queries[i], &out->responses[i].rows(),
+                             &out->responses[i].vo()};
       auto outcome = inline_verifier.VerifyAll(ds, rec->get(), {&job, 1});
       if (!outcome[0].verification.ok()) any_failed = true;
     }

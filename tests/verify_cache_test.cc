@@ -296,29 +296,6 @@ TEST(RecoveredDigestCacheSetTest, ConcurrentHitsReturnTrueDigests) {
   EXPECT_GT(s.evictions, 0u);
 }
 
-TEST(CachingRecovererTest, HitSkipsInnerRecover) {
-  SimSigner signer(11);
-  CryptoCounters inner_counters;
-  SimRecoverer inner(signer.key_material(), &inner_counters);
-  RecoveredDigestCache cache;
-  CryptoCounters c;
-  CachingRecoverer caching(&inner, &cache, /*domain=*/1, &c);
-
-  Rng rng(4);
-  Digest d = RandomDigest(&rng);
-  Signature sig = signer.Sign(d).ValueOrDie();
-  auto first = caching.Recover(sig);
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(*first, d);
-  EXPECT_EQ(inner_counters.recovers, 1u);
-  auto second = caching.Recover(sig);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(*second, d);
-  EXPECT_EQ(inner_counters.recovers, 1u) << "hit must not reach the inner";
-  EXPECT_EQ(c.recovers, 1u);
-  EXPECT_EQ(c.digest_cache_hits, 1u);
-}
-
 // ---------------------------------------------------------------------------
 // Atomic CryptoCounters under concurrent bumping (the BatchVerifier's
 // pool workers share one batch-level sink). Run under TSan/ASan via the
@@ -451,12 +428,12 @@ TEST_F(VerifyCacheSoundnessTest, BitFlippedSignatureMissesWarmCacheAndFails) {
     verifier.set_digest_cache(client_->digest_cache(), vo.key_version);
     SelectQuery nq = q;
     nq.NormalizeProjection();
-    return verifier.VerifySelect(nq, honest->rows, vo);
+    return verifier.VerifySelect(nq, honest->rows(), vo);
   };
-  ASSERT_TRUE(verify_with_warm_cache(honest->vo).ok());
+  ASSERT_TRUE(verify_with_warm_cache(honest->vo()).ok());
 
   {
-    VerificationObject vo = honest->vo.Clone();
+    VerificationObject vo = honest->vo().Clone();
     vo.signed_top[0] ^= 0x01;
     Digest out;
     EXPECT_FALSE(client_->digest_cache()->Lookup(vo.key_version,
@@ -465,7 +442,7 @@ TEST_F(VerifyCacheSoundnessTest, BitFlippedSignatureMissesWarmCacheAndFails) {
     EXPECT_FALSE(verify_with_warm_cache(vo).ok());
   }
   {
-    VerificationObject vo = honest->vo.Clone();
+    VerificationObject vo = honest->vo().Clone();
     ASSERT_FALSE(vo.projected_attr_sigs.empty());
     vo.projected_attr_sigs[0][3] ^= 0x80;
     Digest out;
@@ -492,7 +469,7 @@ TEST_F(VerifyCacheSoundnessTest, SwappedPoolIndexFailsVerification) {
 
   SignaturePool pool;
   ByteWriter body;
-  honest->vo.SerializePooled(&body, &pool);
+  honest->vo().SerializePooled(&body, &pool);
   ASSERT_GE(pool.size(), 2u);
 
   SignaturePool swapped;
@@ -521,7 +498,7 @@ TEST_F(VerifyCacheSoundnessTest, SwappedPoolIndexFailsVerification) {
   verifier.set_digest_cache(client_->digest_cache(), vo->key_version);
   SelectQuery nq = q;
   nq.NormalizeProjection();
-  EXPECT_FALSE(verifier.VerifySelect(nq, honest->rows, *vo).ok())
+  EXPECT_FALSE(verifier.VerifySelect(nq, honest->rows(), *vo).ok())
       << "transposed pool indices must never authenticate";
 }
 
