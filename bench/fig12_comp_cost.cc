@@ -32,7 +32,8 @@ int main() {
       auto out = table->tree->ExecuteSelect(q, table->Fetcher());
       if (!out.ok()) return 1;
       SimRecoverer rec(table->signer->key_material(), &m.vb);
-      Verifier v(table->MakeDigestSchema(), &rec);
+      const DigestSchema ds = table->MakeDigestSchema();
+      Verifier v(ds, &rec);
       v.set_counters(&m.vb);
       if (!v.VerifySelect(q, out->rows, out->vo).ok()) return 1;
     }

@@ -13,7 +13,8 @@ CryptoCounters RunVb(bench::BenchTable* table, const SelectQuery& q) {
   auto out = table->tree->ExecuteSelect(q, table->Fetcher());
   if (!out.ok()) std::exit(1);
   SimRecoverer rec(table->signer->key_material(), &c);
-  Verifier v(table->MakeDigestSchema(), &rec);
+  const DigestSchema ds = table->MakeDigestSchema();
+  Verifier v(ds, &rec);
   v.set_counters(&c);
   if (!v.VerifySelect(q, out->rows, out->vo).ok()) std::exit(1);
   return c;

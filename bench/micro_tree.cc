@@ -61,7 +61,8 @@ void BM_VerifyResult(benchmark::State& state) {
     return;
   }
   SimRecoverer rec(table->signer->key_material());
-  Verifier verifier(table->MakeDigestSchema(), &rec);
+  const DigestSchema ds = table->MakeDigestSchema();
+  Verifier verifier(ds, &rec);
   for (auto _ : state) {
     Status s = verifier.VerifySelect(q, out->rows, out->vo);
     if (!s.ok()) {

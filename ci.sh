@@ -121,10 +121,14 @@ if [[ "$MODE" == "bench-smoke" ]]; then
   #    paper's actual client contract (silent undercounting broke this
   #    once: the old driver sampled 1-in-4 and the JSON hid it);
   #  * verify_failures == 0 across all runs;
-  #  * recover_calls_per_query <= baseline * 1.10 — the deterministic
-  #    Cost_s gate: the fast path's whole point is paying fewer
-  #    signature recoveries, and the count is workload-, not
-  #    host-dependent;
+  #  * signatures resolved per verified query (recover_calls +
+  #    digest_cache_hits in the last run) <= the same sum in the baseline
+  #    * 1.10 — the deterministic Cost_s gate: the pool's within-batch
+  #    dedup and the signed-top memo decide how many signatures a query
+  #    needs resolved, and the count is workload-, not host-dependent.
+  #    Recoveries alone are no gate: where a Recover is cheaper than a
+  #    cache hit (SimSigner) the client skips the cache by design and
+  #    every former hit becomes a recovery;
   #  * verify_cost_us_per_query <= baseline * 1.25 (when the baseline
   #    carries the field — bootstrap runs only assert presence). This
   #    one is wall-clock and therefore host-sensitive: the committed
@@ -134,9 +138,9 @@ if [[ "$MODE" == "bench-smoke" ]]; then
   #    container; six identical back-to-back runs spanned 121–168 us/q,
   #    and an interleaved A/B of two builds overlapped completely —
   #    126/135/184 vs 135/164/137), so a 10% band was pure noise. The
-  #    deterministic recover_calls_per_query gate above is the tight
-  #    one — a real fast-path regression moves the operation count, not
-  #    just the wall clock.
+  #    deterministic resolved-signatures gate above is the tight one — a
+  #    real fast-path regression moves the operation count, not just the
+  #    wall clock.
   python3 - "$BASELINE" <<'PY'
 import json, sys
 new = json.load(open("BENCH_edge_throughput.json"))
@@ -172,20 +176,33 @@ fails = sum(int(r.get("verify_failures", 0)) for r in new.get("runs", []))
 if fails:
     sys.exit("FAIL: %d verification failures in the smoke run" % fails)
 
-rc = new.get("recover_calls_per_query")
-if rc is None:
+if new.get("recover_calls_per_query") is None:
     sys.exit("FAIL: recover_calls_per_query missing from JSON")
-brc = base.get("recover_calls_per_query")
-if brc is None or float(brc) <= 0:
-    print("recover_calls_per_query=%.2f (no baseline; presence check only)"
-          % float(rc))
-elif float(rc) > float(brc) * 1.10:
-    sys.exit("FAIL: recover_calls_per_query regressed: %.2f vs baseline %.2f "
-             "(+%.1f%%)" % (float(rc), float(brc),
-                            100.0 * (float(rc) / float(brc) - 1.0)))
+
+def resolved_per_query(doc):
+    """(recover_calls + digest_cache_hits) / verified_queries, last run."""
+    runs = doc.get("runs") or []
+    if not runs or int(runs[-1].get("verified_queries", 0)) <= 0:
+        return None
+    last = runs[-1]
+    return ((int(last.get("recover_calls", 0)) +
+             int(last.get("digest_cache_hits", 0))) /
+            float(last["verified_queries"]))
+
+rs = resolved_per_query(new)
+if rs is None:
+    sys.exit("FAIL: no verified queries in the last run")
+brs = resolved_per_query(base)
+if brs is None or brs <= 0:
+    print("resolved_sigs_per_query=%.2f (no baseline; presence check only)"
+          % rs)
+elif rs > brs * 1.10:
+    sys.exit("FAIL: resolved_sigs_per_query regressed: %.2f vs baseline %.2f "
+             "(+%.1f%%)" % (rs, brs, 100.0 * (rs / brs - 1.0)))
 else:
-    print("recover_calls_per_query=%.2f vs baseline %.2f: OK"
-          % (float(rc), float(brc)))
+    print("resolved_sigs_per_query=%.2f vs baseline %.2f: OK "
+          "(recover_calls_per_query=%.2f)"
+          % (rs, brs, float(new["recover_calls_per_query"])))
 
 vc = new.get("verify_cost_us_per_query")
 if vc is None:

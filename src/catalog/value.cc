@@ -1,6 +1,7 @@
 #include "catalog/value.h"
 
 #include <cmath>
+#include <cstring>
 
 namespace vbtree {
 
@@ -53,17 +54,28 @@ size_t Value::SerializedSize() const {
 }
 
 void Value::Serialize(ByteWriter* w) const {
+  SerializeTo(w->Extend(SerializedSize()));
+}
+
+uint8_t* Value::SerializeTo(uint8_t* out) const {
   switch (type_) {
     case TypeId::kInt64:
-      w->PutI64(AsInt());
-      break;
-    case TypeId::kDouble:
-      w->PutDouble(AsDouble());
-      break;
-    case TypeId::kString:
-      w->PutString(AsString());
-      break;
+      return EncodeU64(static_cast<uint64_t>(AsInt()), out);
+    case TypeId::kDouble: {
+      uint64_t bits;
+      const double v = AsDouble();
+      static_assert(sizeof(bits) == sizeof(v));
+      std::memcpy(&bits, &v, sizeof(bits));
+      return EncodeU64(bits, out);
+    }
+    case TypeId::kString: {
+      const std::string& s = AsString();
+      out = EncodeVarint(s.size(), out);
+      std::memcpy(out, s.data(), s.size());
+      return out + s.size();
+    }
   }
+  return out;
 }
 
 Result<Value> Value::Deserialize(ByteReader* r, TypeId type) {

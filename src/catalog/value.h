@@ -48,6 +48,9 @@ class Value {
   size_t SerializedSize() const;
 
   void Serialize(ByteWriter* w) const;
+  /// Writes the Serialize bytes (exactly SerializedSize() of them) at
+  /// `out`; returns their end.
+  uint8_t* SerializeTo(uint8_t* out) const;
   static Result<Value> Deserialize(ByteReader* r, TypeId type);
 
   std::string ToString() const;

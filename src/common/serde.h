@@ -11,6 +11,24 @@
 
 namespace vbtree {
 
+/// Raw little-endian encoders for callers that fill a buffer they own
+/// (ByteWriter uses the same formats): each writes at `out` and returns
+/// the end of what it wrote.
+inline uint8_t* EncodeU64(uint64_t v, uint8_t* out) {
+  for (int i = 0; i < 8; ++i) *out++ = static_cast<uint8_t>(v >> (8 * i));
+  return out;
+}
+
+/// LEB128 unsigned varint, as ByteWriter::PutVarint writes it.
+inline uint8_t* EncodeVarint(uint64_t v, uint8_t* out) {
+  while (v >= 0x80) {
+    *out++ = static_cast<uint8_t>(v) | 0x80;
+    v >>= 7;
+  }
+  *out++ = static_cast<uint8_t>(v);
+  return out;
+}
+
 /// Append-only little-endian byte sink used for pages, wire messages and
 /// digest preimages. All multi-byte integers are written little-endian so
 /// byte counts are platform independent.
@@ -56,6 +74,14 @@ class ByteWriter {
   }
 
   void PutString(const std::string& s) { PutLengthPrefixed(Slice(s)); }
+
+  /// Appends `n` bytes for the caller to fill; returns their start (valid
+  /// until the next append).
+  uint8_t* Extend(size_t n) {
+    const size_t at = buf_.size();
+    buf_.resize(at + n);
+    return buf_.data() + at;
+  }
 
   const std::vector<uint8_t>& buffer() const { return buf_; }
   std::vector<uint8_t> TakeBuffer() { return std::move(buf_); }

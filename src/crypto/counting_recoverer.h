@@ -23,6 +23,10 @@ class CountingRecoverer : public Recoverer {
     return inner_->signature_length();
   }
 
+  bool recover_outcosts_cache_hit() const override {
+    return inner_->recover_outcosts_cache_hit();
+  }
+
  private:
   Recoverer* inner_;
   CryptoCounters* counters_;

@@ -56,6 +56,8 @@ class RsaRecoverer : public Recoverer {
 
   Result<Digest> Recover(const Signature& sig) override;
   size_t signature_length() const override { return sig_len_; }
+  /// A modular exponentiation: far dearer than a cache probe.
+  bool recover_outcosts_cache_hit() const override { return true; }
 
  private:
   friend class RsaSigner;

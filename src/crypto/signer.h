@@ -231,6 +231,12 @@ class Recoverer {
   virtual Result<Digest> Recover(const Signature& sig) = 0;
 
   virtual size_t signature_length() const = 0;
+
+  /// Whether one Recover costs more than one RecoveredDigestCache hit, so
+  /// that memoizing recoveries across batches can save work. Fixed per
+  /// recoverer type; the BatchVerifier skips the cache when it is false
+  /// (DESIGN.md §6.2).
+  virtual bool recover_outcosts_cache_hit() const = 0;
 };
 
 }  // namespace vbtree

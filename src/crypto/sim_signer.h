@@ -59,6 +59,11 @@ class SimRecoverer : public Recoverer {
 
   Result<Digest> Recover(const Signature& sig) override;
   size_t signature_length() const override { return kDigestLen; }
+  /// One AES block (work_factor 1) is cheaper than any cache probe, which
+  /// must hash the signature, lock a shard and compare bytes.
+  bool recover_outcosts_cache_hit() const override {
+    return work_factor_ > 1;
+  }
 
   void set_counters(CryptoCounters* counters) { counters_ = counters; }
 

@@ -61,16 +61,20 @@ class Client {
   /// Replaces (or, with nullptr, disables) the cross-batch
   /// recovered-digest cache. Client libraries embedding many Clients can
   /// share one instance — the cache is internally sharded and
-  /// thread-safe even though the Client itself is not.
+  /// thread-safe even though the Client itself is not. It is consulted
+  /// only for key versions whose Recoverer reports that a Recover
+  /// outcosts a cache hit (RSA; SimSigner only with work_factor > 1):
+  /// with the one-block SimSigner it stays empty (DESIGN.md §6.2).
   void set_digest_cache(std::shared_ptr<RecoveredDigestCache> cache) {
     digest_cache_ = std::move(cache);
   }
   RecoveredDigestCache* digest_cache() const { return digest_cache_.get(); }
 
   /// Disables/enables the whole verification fast path (pooled
-  /// once-per-batch recovery, digest cache, signed-top memo). On by
-  /// default; the load driver's --no-verify-cache control and A/B tests
-  /// turn it off to measure the plain Recover-per-reference path.
+  /// once-per-batch recovery, the digest cache where the recoverer's
+  /// cost warrants it, signed-top memo). On by default; the load
+  /// driver's --no-verify-cache control and A/B tests turn it off to
+  /// measure the plain Recover-per-reference path.
   void set_verify_fast_path(bool enabled) { verify_fast_path_ = enabled; }
 
   /// Attaches the background auditor that lazy trust modes defer

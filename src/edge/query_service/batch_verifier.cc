@@ -102,8 +102,7 @@ BatchVerifier::Outcome BatchVerifier::RunJob(
     std::span<const RecoveredSignature> recovered, const PoolContext* ctx) {
   Outcome out;
   CountingRecoverer counting(recoverer, &out.counters);
-  DigestSchema job_ds = ds;  // per-job copy: counters sink is per-outcome
-  Verifier verifier(std::move(job_ds), &counting);
+  Verifier verifier(ds, &counting);
   verifier.set_counters(&out.counters);
   verifier.set_recovered_pool(recovered);
   if (ctx != nullptr && ctx->cache != nullptr) {
@@ -124,6 +123,17 @@ std::vector<BatchVerifier::Outcome> BatchVerifier::VerifyAll(
     const PoolContext* ctx) {
   std::vector<Outcome> outcomes(jobs.size());
   if (jobs.empty()) return outcomes;
+
+  // The cross-batch cache only pays where a Recover costs more than a
+  // probe (DESIGN.md §6.2); otherwise both phases skip it. Within-batch
+  // dedup (the pool) and the caller's top memo are unaffected.
+  PoolContext uncached;
+  if (ctx != nullptr && ctx->cache != nullptr &&
+      !recoverer->recover_outcosts_cache_hit()) {
+    uncached = *ctx;
+    uncached.cache = nullptr;
+    ctx = &uncached;
+  }
 
   // Phase 1: recover the batch signature pool once, fanned across the
   // workers. Every pooled signature pays its Cost_s here exactly once no

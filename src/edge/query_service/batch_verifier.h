@@ -27,7 +27,10 @@ namespace vbtree {
 /// front — the pool entries are partitioned across the workers, each
 /// resolved through the cross-batch RecoveredDigestCache first — and the
 /// per-query verifications then consume recovered digests by pool index
-/// instead of paying one Cost_s per signature *reference*.
+/// instead of paying one Cost_s per signature *reference*. The cache is
+/// consulted only when the Recoverer reports that a Recover outcosts a
+/// cache hit (RSA; not the one-block SimSigner); VerifyAll is the one
+/// place that rule lives.
 ///
 /// The pool is owned by the verifier and reused across calls; VerifyAll
 /// itself blocks until every job is done, so the caller (a Client, which
@@ -90,7 +93,9 @@ class BatchVerifier {
     /// is fanned across the worker pool before any job runs.
     const SignaturePool* pool = nullptr;
     /// Cross-batch recovered-digest LRU, consulted entry-by-entry during
-    /// the pool phase and by jobs for non-pooled signatures.
+    /// the pool phase and by jobs for non-pooled signatures — unless the
+    /// recoverer's Recover is no dearer than a hit, in which case
+    /// VerifyAll ignores it.
     RecoveredDigestCache* cache = nullptr;
     /// Signing-key version the signatures resolve under (cache domain).
     uint64_t cache_domain = 0;
@@ -101,9 +106,9 @@ class BatchVerifier {
     CryptoCounters* pool_counters = nullptr;
   };
 
-  /// Verifies every job against `ds` (copied per job) using `recoverer`'s
-  /// public key; returns outcomes positionally. Blocks until all jobs are
-  /// done.
+  /// Verifies every job against `ds` (shared by every job) using
+  /// `recoverer`'s public key; returns outcomes positionally. Blocks
+  /// until all jobs are done.
   std::vector<Outcome> VerifyAll(const DigestSchema& ds, Recoverer* recoverer,
                                  std::span<const Job> jobs,
                                  const PoolContext* ctx = nullptr);

@@ -1,25 +1,46 @@
 #include "vbtree/digest_schema.h"
 
+#include <cstring>
+
 #include "common/serde.h"
 
 namespace vbtree {
 
-Digest DigestSchema::AttributeDigest(int64_t key, size_t col_idx,
-                                     const Value& v) const {
-  if (counters_ != nullptr) CryptoCounters::Tick(counters_->attr_hashes);
+std::vector<std::string> DigestSchema::AttributePrefixes(
+    const std::string& db, const std::string& table, const Schema& schema) {
   // Length-prefixed fields make the preimage unambiguous (no separator
-  // collisions between e.g. table and attribute names). The preimage
-  // buffer is reused per thread: this runs once per returned attribute on
-  // the client verification hot path, where a fresh heap allocation per
-  // digest is measurable.
-  thread_local ByteWriter w(64);
-  w.Clear();
-  w.PutString(db_name_);
-  w.PutString(table_name_);
-  w.PutString(schema_.column(col_idx).name);
-  w.PutI64(key);
-  v.Serialize(&w);
-  return HashToDigest(algo_, Slice(w.buffer()));
+  // collisions between e.g. table and attribute names).
+  std::vector<std::string> prefixes;
+  prefixes.reserve(schema.num_columns());
+  ByteWriter w(64);
+  for (size_t c = 0; c < schema.num_columns(); ++c) {
+    w.Clear();
+    w.PutString(db);
+    w.PutString(table);
+    w.PutString(schema.column(c).name);
+    prefixes.emplace_back(w.buffer().begin(), w.buffer().end());
+  }
+  return prefixes;
+}
+
+Digest DigestSchema::HashAttribute(int64_t key, size_t col_idx,
+                                   const Value& v) const {
+  // Preimage: column prefix | key | value. This runs once per returned
+  // attribute on the client verification hot path, so it is assembled on
+  // the stack; only an attribute too long for the buffer allocates.
+  const std::string& prefix = prefixes_[col_idx];
+  const size_t len = prefix.size() + sizeof(uint64_t) + v.SerializedSize();
+  uint8_t stack[256];
+  std::vector<uint8_t> heap;
+  uint8_t* buf = stack;
+  if (len > sizeof(stack)) {
+    heap.resize(len);
+    buf = heap.data();
+  }
+  std::memcpy(buf, prefix.data(), prefix.size());
+  uint8_t* end = EncodeU64(static_cast<uint64_t>(key), buf + prefix.size());
+  v.SerializeTo(end);
+  return HashToDigest(algo_, Slice(buf, len));
 }
 
 std::vector<Digest> DigestSchema::AttributeDigests(const Tuple& t) const {

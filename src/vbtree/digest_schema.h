@@ -35,7 +35,8 @@ class DigestSchema {
         table_name_(std::move(table_name)),
         schema_(std::move(schema)),
         algo_(algo),
-        ghash_(modulus_bits) {}
+        ghash_(modulus_bits),
+        prefixes_(AttributePrefixes(db_name_, table_name_, schema_)) {}
 
   /// Routes Cost_h / Cost_k accounting to `counters` (may be nullptr).
   void set_counters(CryptoCounters* counters) {
@@ -44,7 +45,14 @@ class DigestSchema {
   }
 
   /// Formula (1). `key` is the tuple's primary key, not the attribute value.
-  Digest AttributeDigest(int64_t key, size_t col_idx, const Value& v) const;
+  Digest AttributeDigest(int64_t key, size_t col_idx, const Value& v) const {
+    if (counters_ != nullptr) CryptoCounters::Tick(counters_->attr_hashes);
+    return HashAttribute(key, col_idx, v);
+  }
+
+  /// Formula (1) without Cost_h accounting, for a caller that shares this
+  /// schema and counts into its own sink (the client Verifier).
+  Digest HashAttribute(int64_t key, size_t col_idx, const Value& v) const;
 
   /// All m attribute digests of a tuple, in column order.
   std::vector<Digest> AttributeDigests(const Tuple& t) const;
@@ -73,6 +81,13 @@ class DigestSchema {
   HashAlgorithm algo_;
   CommutativeHash ghash_;
   CryptoCounters* counters_ = nullptr;
+  /// Per column, the head of its formula (1) preimage: the
+  /// length-prefixed db, table and column names.
+  std::vector<std::string> prefixes_;
+
+  static std::vector<std::string> AttributePrefixes(const std::string& db,
+                                                    const std::string& table,
+                                                    const Schema& schema);
 };
 
 /// Binding digest for a shard's root anchor when the shard shares its

@@ -47,12 +47,12 @@ Result<Digest> Verifier::ComputeNodeDigest(
       const std::vector<size_t>& proj_cols = q.projection;
       if (proj_cols.empty()) {
         for (size_t c = 0; c < ds_.schema().num_columns(); ++c) {
-          attrs.push_back(ds_.AttributeDigest(row.key, c, row.values[c]));
+          attrs.push_back(AttributeDigest(row.key, c, row.values[c]));
         }
       } else {
         for (size_t p = 0; p < proj_cols.size(); ++p) {
           attrs.push_back(
-              ds_.AttributeDigest(row.key, proj_cols[p], row.values[p]));
+              AttributeDigest(row.key, proj_cols[p], row.values[p]));
         }
         for (size_t f = 0; f < filtered_cols.size(); ++f) {
           const size_t sig_idx = row_idx * filtered_cols.size() + f;
@@ -64,7 +64,7 @@ Result<Digest> Verifier::ComputeNodeDigest(
           attrs.push_back(d);
         }
       }
-      parts.push_back(ds_.CombineDigests(attrs));
+      parts.push_back(ghash_.Combine(attrs));
     }
     for (size_t i = 0; i < node.filtered_tuple_sigs.size(); ++i) {
       const uint32_t ref = i < node.filtered_tuple_refs.size()
@@ -74,7 +74,7 @@ Result<Digest> Verifier::ComputeNodeDigest(
                            ResolveSig(node.filtered_tuple_sigs[i], ref));
       parts.push_back(d);
     }
-    return ds_.CombineDigests(parts);
+    return ghash_.Combine(parts);
   }
 
   parts.reserve(node.items.size());
@@ -89,7 +89,7 @@ Result<Digest> Verifier::ComputeNodeDigest(
       parts.push_back(d);
     }
   }
-  return ds_.CombineDigests(parts);
+  return ghash_.Combine(parts);
 }
 
 Status Verifier::VerifySelect(const SelectQuery& query,

@@ -47,7 +47,9 @@ struct RecoveredSignature {
 ///     digests via set_recovered_pool and the verifier consumes them
 ///     positionally instead of calling Recover per reference;
 ///  2. a cross-batch RecoveredDigestCache (set_digest_cache) memoizes
-///     byte-keyed recoveries for signatures not resolved by the pool;
+///     byte-keyed recoveries for signatures not resolved by the pool
+///     (the BatchVerifier supplies it only when a Recover outcosts a
+///     cache hit);
 ///  3. set_known_top short-circuits the final s(D_N) recovery when the
 ///     caller already recovered the identical signature bytes (the
 ///     client's per-(table, replica_version) top memo).
@@ -58,15 +60,19 @@ class Verifier {
  public:
   /// `digest_schema` must match the central server's (same db/table/
   /// column names, hash algorithm and modulus); it is distributed to
-  /// clients together with the public key.
-  Verifier(DigestSchema digest_schema, Recoverer* recoverer)
-      : ds_(std::move(digest_schema)), recoverer_(recoverer) {}
+  /// clients together with the public key. It is shared, not copied, and
+  /// must outlive the verifier; its own counter sink is never ticked.
+  Verifier(const DigestSchema& digest_schema, Recoverer* recoverer)
+      : ds_(digest_schema),
+        ghash_(digest_schema.modulus_bits()),
+        recoverer_(recoverer) {}
+  Verifier(DigestSchema&&, Recoverer*) = delete;
 
   /// Routes Cost_h/Cost_k accounting, plus this verifier's digest-cache
   /// traffic (Cost_s accrues in the Recoverer).
   void set_counters(CryptoCounters* counters) {
     counters_ = counters;
-    ds_.set_counters(counters);
+    ghash_.set_counters(counters);
   }
 
   /// Supplies the once-per-batch recovered digests of the signature pool
@@ -129,7 +135,15 @@ class Verifier {
                                    const VerificationObject& vo,
                                    size_t* cursor);
 
-  DigestSchema ds_;
+  /// Formula (1) through the shared schema, Cost_h into counters_.
+  Digest AttributeDigest(int64_t key, size_t col_idx, const Value& v) const {
+    if (counters_ != nullptr) CryptoCounters::Tick(counters_->attr_hashes);
+    return ds_.HashAttribute(key, col_idx, v);
+  }
+
+  const DigestSchema& ds_;
+  /// g over the schema's modulus, Cost_k into counters_.
+  CommutativeHash ghash_;
   Recoverer* recoverer_;
   CryptoCounters* counters_ = nullptr;
   std::span<const RecoveredSignature> pool_;

@@ -381,6 +381,27 @@ TEST(CountingRecovererTest, TicksOwnCounters) {
   EXPECT_EQ(mine.recovers, 2u);
 }
 
+TEST(CountingRecovererTest, ForwardsCacheCostProperty) {
+  // One AES block is cheaper than a digest-cache hit; chained blocks and
+  // RSA exponentiations are not.
+  SimSigner signer(42);
+  SimRecoverer cheap(signer.key_material());
+  SimRecoverer chained(signer.key_material(), nullptr, /*work_factor=*/2);
+  auto rsa = RsaSigner::Generate(1024);
+  ASSERT_TRUE(rsa.ok());
+  auto rsa_rec = rsa.ValueOrDie()->MakeRecoverer();
+  ASSERT_TRUE(rsa_rec.ok());
+  EXPECT_FALSE(cheap.recover_outcosts_cache_hit());
+  EXPECT_TRUE(chained.recover_outcosts_cache_hit());
+  EXPECT_TRUE(rsa_rec.ValueOrDie()->recover_outcosts_cache_hit());
+  for (Recoverer* inner : std::initializer_list<Recoverer*>{
+           &cheap, &chained, rsa_rec.ValueOrDie().get()}) {
+    CountingRecoverer counting(inner, nullptr);
+    EXPECT_EQ(counting.recover_outcosts_cache_hit(),
+              inner->recover_outcosts_cache_hit());
+  }
+}
+
 TEST(KeyDirectoryTest, ValidVersionResolves) {
   KeyDirectory dir;
   SimSigner signer(1);

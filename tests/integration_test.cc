@@ -142,7 +142,8 @@ TEST(IntegrationTest, MeasuredVsModelComputationShape) {
   // VB verification counters.
   CryptoCounters vb_counters;
   SimRecoverer vb_rec(db->signer->key_material(), &vb_counters);
-  Verifier v(db->MakeDigestSchema(), &vb_rec);
+  const DigestSchema ds = db->MakeDigestSchema();
+  Verifier v(ds, &vb_rec);
   v.set_counters(&vb_counters);
   ASSERT_TRUE(v.VerifySelect(q, vb->rows, vb->vo).ok());
 

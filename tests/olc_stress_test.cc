@@ -67,10 +67,7 @@ struct StressDb {
   }
 
   Verifier MakeVerifier() {
-    return Verifier(DigestSchema("stressdb", "t", schema,
-                                 tree->options().hash_algo,
-                                 tree->options().modulus_bits),
-                    &recoverer);
+    return Verifier(tree->digest_schema(), &recoverer);
   }
 
   SelectQuery RangeQuery(int64_t lo, int64_t hi) const {

@@ -77,7 +77,10 @@ struct TestDb {
                         tree->options().modulus_bits);
   }
 
-  Verifier MakeVerifier() { return Verifier(MakeDigestSchema(), recoverer.get()); }
+  /// Shares the tree's schema: the verifier must not outlive the TestDb.
+  Verifier MakeVerifier() {
+    return Verifier(tree->digest_schema(), recoverer.get());
+  }
 
   VBTree::TupleFetcher Fetcher() const {
     return Executor::FetcherFor(heap.get());

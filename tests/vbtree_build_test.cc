@@ -177,5 +177,84 @@ TEST_P(PackedHeightSweep, MatchesFormula) {
 INSTANTIATE_TEST_SUITE_P(Sizes, PackedHeightSweep,
                          ::testing::Values(1, 8, 9, 64, 65, 512, 513, 2000));
 
+// Digests are protocol: a central server and a client built from
+// different revisions must agree on every bit. The constants below were
+// captured from the EVP-based implementation of formula (1); any faster
+// hashing path must reproduce them exactly.
+struct GoldenAttr {
+  HashAlgorithm algo;
+  int64_t key;
+  size_t col;
+  Value value;
+  const char* hex;
+};
+
+std::string LongString(size_t n) {
+  std::string s(n, ' ');
+  for (size_t i = 0; i < n; ++i) s[i] = static_cast<char>('a' + i % 26);
+  return s;
+}
+
+TEST(DigestGoldenTest, AttributeDigestsAreBitStable) {
+  const Schema schema = MakeWideSchema(10);
+  const std::vector<GoldenAttr> cases = {
+      {HashAlgorithm::kSha256, 0, 0, Value::Int(0),
+       "4908738d9c697f8720397ff366734440"},
+      {HashAlgorithm::kSha256, 42, 0, Value::Int(42),
+       "81e91cdcc4ea5599e3409b963cd1e5be"},
+      {HashAlgorithm::kSha256, 42, 3, Value::Str("hello edge"),
+       "828cf885a06b656c4d823658ed621cf8"},
+      {HashAlgorithm::kSha256, -7, 9, Value::Str(""),
+       "e08544f0ec10907c4ce0049a334a8ef8"},
+      {HashAlgorithm::kSha256, 1 << 20, 5, Value::Double(3.25),
+       "2e4d2ad04f194e4bfbe8543391541c4c"},
+      // 127/128 bytes straddle the one-byte varint length; 300 and 5000
+      // exceed any small fixed preimage buffer.
+      {HashAlgorithm::kSha256, 9, 1, Value::Str(LongString(127)),
+       "ea80d4640e87476a65baea59d9568608"},
+      {HashAlgorithm::kSha256, 9, 2, Value::Str(LongString(128)),
+       "923685e1ab0bccc80d439b43016313f2"},
+      {HashAlgorithm::kSha256, 9, 4, Value::Str(LongString(300)),
+       "b085920d8c24226e2c17c540a7320de7"},
+      {HashAlgorithm::kSha256, 9, 6, Value::Str(LongString(5000)),
+       "f84a6e22987f7917fe1af3007a5cce7e"},
+      {HashAlgorithm::kSha1, 42, 0, Value::Int(42),
+       "137a58f667be97d5526decb51eaec402"},
+      {HashAlgorithm::kSha1, 42, 3, Value::Str("hello edge"),
+       "c1c97de0bfb34f8790850fe3cce23e70"},
+      {HashAlgorithm::kSha1, 9, 4, Value::Str(LongString(300)),
+       "5ba8a748d8159ec60d129fae6938ab13"},
+      {HashAlgorithm::kMd5, 42, 0, Value::Int(42),
+       "3cef515cb61b114c1c9587a291e623cf"},
+      {HashAlgorithm::kMd5, 42, 3, Value::Str("hello edge"),
+       "2795f686e6c484aef60daf97ccc5ab3d"},
+      {HashAlgorithm::kMd5, 9, 4, Value::Str(LongString(300)),
+       "2d61ca6c4b6626561fd1f6ee190ba323"},
+  };
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const GoldenAttr& c = cases[i];
+    DigestSchema ds("paperdb", "orders", schema, c.algo);
+    EXPECT_EQ(ds.AttributeDigest(c.key, c.col, c.value).ToHex(), c.hex)
+        << "case " << i;
+  }
+}
+
+TEST(DigestGoldenTest, SeededTableRootAndBindingAreBitStable) {
+  // The paper's table shape: an INT64 key and nine 20-byte strings.
+  auto db = MakeTestDb(1000, /*ncols=*/10, /*max_fanout=*/16, /*stride=*/1,
+                       /*seed=*/42);
+  ASSERT_NE(db, nullptr);
+  const Digest root = db->tree->root_digest();
+  EXPECT_EQ(root.ToHex(), "151a3e52f06ce2502e95872948c1a27e");
+  Rng rng(42);
+  const Tuple row = MakeTuple(db->schema, 5, &rng);
+  EXPECT_EQ(db->tree->digest_schema().TupleDigest(row).ToHex(),
+            "0100a43767e39e3c82103c3c41c019da");
+  EXPECT_EQ(ShardBindingDigest(HashAlgorithm::kSha256, "testdb", "t#1", 0,
+                               999, root)
+                .ToHex(),
+            "e686f5e631434cc358a64b44ed166497");
+}
+
 }  // namespace
 }  // namespace vbtree

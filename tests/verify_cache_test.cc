@@ -359,8 +359,15 @@ TEST(CommutativeHashFoldTest, FoldedCombineMatchesChainedExtend) {
 
 class VerifyCacheSoundnessTest : public ::testing::Test {
  protected:
-  void SetUp() override {
+  void SetUp() override { Build(/*sim_work_factor=*/1); }
+
+  /// A SimSigner-backed central server, an edge and a client. With
+  /// work_factor 1 a Recover is one AES block, cheaper than a cache hit,
+  /// so the client never consults its digest cache; work_factor 2 makes
+  /// the cache pay and exercises it.
+  void Build(int sim_work_factor) {
     CentralServer::Options opts;
+    opts.sim_work_factor = sim_work_factor;
     opts.tree_opts.config.max_internal = 16;
     opts.tree_opts.config.max_leaf = 16;
     auto central = CentralServer::Create(opts);
@@ -401,7 +408,14 @@ class VerifyCacheSoundnessTest : public ::testing::Test {
   std::unique_ptr<Client> client_;
 };
 
-TEST_F(VerifyCacheSoundnessTest, BitFlippedSignatureMissesWarmCacheAndFails) {
+/// The same deployment with a recoverer the digest cache serves
+/// (SimSigner work_factor 2): the cases that need a warm cache.
+class WarmCacheSoundnessTest : public VerifyCacheSoundnessTest {
+ protected:
+  void SetUp() override { Build(/*sim_work_factor=*/2); }
+};
+
+TEST_F(WarmCacheSoundnessTest, BitFlippedSignatureMissesWarmCacheAndFails) {
   // Warm the cache with an honest verified answer.
   QueryService service(edge_.get(), QueryServiceOptions{2, 64});
   auto warm = client_->QueryBatched(&service, HotBatch(), /*now=*/10);
@@ -502,7 +516,7 @@ TEST_F(VerifyCacheSoundnessTest, SwappedPoolIndexFailsVerification) {
       << "transposed pool indices must never authenticate";
 }
 
-TEST_F(VerifyCacheSoundnessTest,
+TEST_F(WarmCacheSoundnessTest,
        TamperBehindUnchangedReplicaVersionFailsDespiteWarmMemo) {
   QueryService service(edge_.get(), QueryServiceOptions{2, 64});
 
@@ -533,6 +547,72 @@ TEST_F(VerifyCacheSoundnessTest,
       << "stale memo/cache entries must never authenticate tampered data";
 }
 
+TEST_F(VerifyCacheSoundnessTest, CheapRecoverSkipsCacheAndStillRejectsTamper) {
+  // Default SimSigner: one Recover is one AES block, cheaper than a cache
+  // hit, so honest batches neither probe nor fill the digest cache.
+  QueryService service(edge_.get(), QueryServiceOptions{2, 64});
+  for (int round = 0; round < 2; ++round) {
+    auto honest = client_->QueryBatched(&service, HotBatch(), /*now=*/10);
+    ASSERT_TRUE(honest.ok());
+    for (const auto& v : honest->results) ASSERT_TRUE(v.verification.ok());
+    EXPECT_EQ(honest->crypto.digest_cache_hits, 0u);
+    EXPECT_EQ(honest->crypto.digest_cache_misses, 0u);
+    EXPECT_GT(honest->crypto.recovers, 0u);
+  }
+  EXPECT_EQ(client_->digest_cache()->stats().entries, 0u);
+
+  // Bit flips, verified the way Client::VerifyBatchGroup does: through
+  // the BatchVerifier, with the client's cache offered.
+  SelectQuery q = HotBatch().queries[0];
+  QueryBatch one;
+  one.table = q.table;
+  one.queries = {q};
+  auto honest_batch = edge_->HandleQueryBatch(one);
+  ASSERT_TRUE(honest_batch.ok());
+  const QueryResponse& honest = honest_batch->responses[0];
+  const uint32_t kv = honest.vo().key_version;
+  auto rec = central_->key_directory()->RecovererFor(kv, 10);
+  ASSERT_TRUE(rec.ok());
+  DigestSchema ds(central_->db_name(), "items", schema_);
+  SelectQuery nq = q;
+  nq.NormalizeProjection();
+  BatchVerifier verifier(BatchVerifier::Options{0});
+  BatchVerifier::PoolContext ctx;
+  ctx.cache = client_->digest_cache();
+  ctx.cache_domain = kv;
+  auto verify = [&](const VerificationObject& vo) {
+    const BatchVerifier::Job job{&nq, &honest.rows(), &vo};
+    return verifier
+        .VerifyAll(ds, rec.ValueOrDie().get(), std::span(&job, 1), &ctx)[0]
+        .verification;
+  };
+  ASSERT_TRUE(verify(honest.vo()).ok());
+  {
+    VerificationObject vo = honest.vo().Clone();
+    vo.signed_top[0] ^= 0x01;
+    EXPECT_FALSE(verify(vo).ok());
+  }
+  {
+    VerificationObject vo = honest.vo().Clone();
+    ASSERT_FALSE(vo.projected_attr_sigs.empty());
+    vo.projected_attr_sigs[0][3] ^= 0x80;
+    EXPECT_FALSE(verify(vo).ok());
+  }
+  EXPECT_EQ(client_->digest_cache()->stats().entries, 0u);
+
+  // Tamper behind an unchanged replica version, with the top memo warm.
+  ASSERT_TRUE(
+      edge_->TamperValueByKey("items", 120, 2, Value::Str("forged")).ok());
+  auto tampered = client_->QueryBatched(&service, HotBatch(), /*now=*/10);
+  ASSERT_TRUE(tampered.ok());
+  size_t failures = 0;
+  for (const auto& v : tampered->results) {
+    if (!v.verification.ok()) failures++;
+  }
+  EXPECT_GT(failures, 0u);
+  EXPECT_EQ(client_->digest_cache()->stats().entries, 0u);
+}
+
 TEST_F(VerifyCacheSoundnessTest, FastPathAndPlainPathAgreeAndReduceRecovers) {
   QueryService service(edge_.get(), QueryServiceOptions{2, 64});
 
@@ -557,9 +637,11 @@ TEST_F(VerifyCacheSoundnessTest, FastPathAndPlainPathAgreeAndReduceRecovers) {
     fast_recovers += fast->crypto.recovers.load();
     plain_recovers += slow->crypto.recovers.load();
   }
-  // Identical hot batches: the fast path pays the pool once and then
-  // rides the cross-batch cache; the plain path pays per reference every
-  // round. The acceptance bar for the bench workload is >= 3x.
+  // Identical hot batches: the fast path pays each distinct pooled
+  // signature once per batch (the SimSigner recover is too cheap for the
+  // cross-batch cache) and memoizes the signed tops; the plain path pays
+  // per reference every round. The acceptance bar for the bench workload
+  // is >= 3x.
   EXPECT_GE(plain_recovers, 3 * fast_recovers)
       << "plain=" << plain_recovers << " fast=" << fast_recovers;
   EXPECT_GT(fast_recovers, 0u);
